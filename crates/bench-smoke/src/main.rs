@@ -3,8 +3,7 @@
 //! Emits one JSON document on stdout comparing, per synthetic family:
 //!
 //! * **full-state chase** — naive fixpoint [`idr_chase::chase`] vs the
-//!   partition-indexed [`idr_chase::chase_fast`] vs the PR 2 indexed
-//!   worklist engine [`IncrementalChase`];
+//!   indexed union-find worklist engine [`IncrementalChase`];
 //! * **insert stream** — re-chasing the whole state after every insert
 //!   (the pre-engine discipline) vs hub [`WriteHandle`] inserts, which
 //!   chase only the dirty rows of the affected block.
@@ -48,7 +47,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use idr_chase::{chase, chase_fast, IncrementalChase, Tableau};
+use idr_chase::{chase, IncrementalChase, Tableau};
 use idr_core::engine::{Engine, Observability};
 use idr_core::exec::Guard;
 use idr_core::WriteHandle;
@@ -93,7 +92,6 @@ struct FamilyReport {
     tuples: usize,
     inserts: usize,
     naive_chase_ms: f64,
-    fast_chase_ms: f64,
     incremental_chase_ms: f64,
     naive_rechase_stream_ms: f64,
     hub_stream_ms: f64,
@@ -118,14 +116,10 @@ fn bench_family(name: &str, db: &DatabaseScheme, entities: usize, inserts: usize
     );
     let g = Guard::unlimited();
 
-    // Full-state chase: the same state through all three engines.
+    // Full-state chase: the same state through both engines.
     let naive_chase_ms = time_ms(|| {
         let mut t = Tableau::of_state(db, &w.state);
         chase(&mut t, kd.full(), &g).expect("consistent");
-    });
-    let fast_chase_ms = time_ms(|| {
-        let mut t = Tableau::of_state(db, &w.state);
-        chase_fast(&mut t, kd.full(), &g).expect("consistent");
     });
     let incremental_chase_ms = time_ms(|| {
         let mut ic = IncrementalChase::of_state(db, &w.state, kd.full()).expect("in capacity");
@@ -170,7 +164,6 @@ fn bench_family(name: &str, db: &DatabaseScheme, entities: usize, inserts: usize
         tuples: w.state.total_tuples(),
         inserts: w.inserts.len(),
         naive_chase_ms,
-        fast_chase_ms,
         incremental_chase_ms,
         naive_rechase_stream_ms,
         hub_stream_ms,
@@ -687,7 +680,6 @@ fn main() {
         println!("      \"tuples\": {},", r.tuples);
         println!("      \"full_chase_ms\": {{");
         println!("        \"naive\": {:.3},", r.naive_chase_ms);
-        println!("        \"fast\": {:.3},", r.fast_chase_ms);
         println!("        \"incremental\": {:.3}", r.incremental_chase_ms);
         println!("      }},");
         println!("      \"insert_stream_ms\": {{");

@@ -2,9 +2,9 @@
 //! hash indexes, and a dirty-row worklist.
 //!
 //! [`crate::chase`] re-scans the whole tableau after every fd-rule
-//! application and renames symbols by scanning columns; [`crate::fast`]
-//! indexes the scan but still rewrites symbol occurrences eagerly. This
-//! module replaces symbol rewriting altogether: every tableau cell holds a
+//! application and renames symbols by scanning columns. This module
+//! replaces the scan with indexes and symbol rewriting altogether with
+//! union-find: every tableau cell holds a
 //! *node* of a union-find structure, and an fd-rule application is a
 //! single `union` of two equivalence classes. The canonical symbol of a
 //! class is maintained under the chase's renaming precedence (a constant
@@ -23,7 +23,7 @@
 //! * **Per-fd LHS indexes**: a hash map from the *canonical node vector*
 //!   of an fd's left-hand side to a representative row, so rule partners
 //!   are found by lookup. Entries go stale as classes merge and are
-//!   validated lazily, as in [`crate::fast`]; the rows whose keys changed
+//!   validated lazily; the rows whose keys changed
 //!   were enqueued by the very union that changed them.
 //! * **Dirty-row worklist** (semi-naive evaluation): only rows whose
 //!   symbols changed since they were last examined are re-probed, so a
@@ -344,7 +344,7 @@ impl IncrementalChase {
     /// Swaps the trace sink, keeping the labels rendered when
     /// observability was attached. The block-parallel engine uses this at
     /// its join barrier: blocks chase into private per-block shards, then
-    /// retarget to the session's sink so later incremental work (inserts,
+    /// retarget to the hub's sink so later incremental work (inserts,
     /// rebuilds) emits directly into it.
     pub fn retarget_trace(&mut self, trace: TraceHandle) {
         self.trace = trace;
@@ -983,8 +983,7 @@ impl IncrementalChase {
 }
 
 /// `CHASE_F(T)` through the incremental engine — a drop-in replacement
-/// for [`chase`](crate::chase)/[`chase_fast`](crate::chase_fast) with the
-/// same contract: the tableau is chased in place, one chase step is
+/// for [`chase`](crate::chase) with the same contract: the tableau is chased in place, one chase step is
 /// charged per rule application, and on success the result is identical
 /// to the reference engine's.
 pub fn chase_incremental(

@@ -3,57 +3,48 @@
 //! The paper's maintenance theorems (4.1/4.2) reduce state evolution to a
 //! sequence of small insert/delete steps, which is exactly the shape of a
 //! write-ahead log. This module defines the *interface* the
-//! [`Session`](crate::Session) mutation paths call; the implementation —
-//! an append-only checksummed WAL with snapshots and crash recovery —
-//! lives in `idr-store`, keeping this crate free of filesystem concerns.
+//! [`WriteHandle`](crate::WriteHandle) mutation paths call; the
+//! implementation — an append-only checksummed WAL with group commit,
+//! snapshots and crash recovery (`idr_store::SharedStore`) — lives in
+//! `idr-store`, keeping this crate free of filesystem concerns.
 //!
 //! ## Contract
 //!
-//! The session upholds write-ahead ordering: [`Durability::log_op`] is
-//! called **before** any in-memory mutation. If the op later fails with a
-//! typed error (a guard trip mid-chase), the session rolls its memory
-//! back and calls [`Durability::log_abort`], so the log and memory agree
-//! again: a recovery replaying the log skips aborted records. Ops that
-//! complete with a verdict — accepted *or* rejected inserts, present or
-//! absent deletes — are left in the log as-is; replaying them through the
-//! same guarded session path re-earns the same verdict deterministically.
+//! The hub owns its sink as an `Arc<dyn DurabilitySink>` shared by every
+//! writer thread, and upholds write-ahead ordering:
+//! [`DurabilitySink::log_op`] is called **before** any in-memory
+//! mutation. If the op later fails with a typed error (a guard trip
+//! mid-chase), the writer rolls memory back and calls
+//! [`DurabilitySink::log_abort`], so the log and memory agree again: a
+//! recovery replaying the log skips aborted records. Ops that complete
+//! with a verdict — accepted *or* rejected inserts, present or absent
+//! deletes — are left in the log as-is; replaying them through the same
+//! guarded write path re-earns the same verdict deterministically.
 //!
-//! After every completed op the session calls
-//! [`Durability::op_finished`] with the post-op state, giving the
-//! implementation a safe point to cut a snapshot and truncate the log.
-//!
-//! ## Two trait shapes
-//!
-//! [`Durability`] is the original single-writer hook: `&mut self`
-//! methods, borrowed by one [`Session`](crate::Session) at a time. The
-//! concurrent serving layer ([`Hub`](crate::Hub) /
-//! [`WriteHandle`](crate::WriteHandle)) instead *owns* its sink as an
-//! `Arc<dyn DurabilitySink>`: `&self` methods callable from many writer
-//! threads at once, with the implementation free to coalesce concurrent
-//! appends into one fsync (group commit — `idr_store::SharedStore`).
-//! Snapshot cutting splits in two under concurrency: the sink only
-//! *reports* that a snapshot is due ([`DurabilitySink::op_finished`]),
-//! and the hub quiesces every block before handing over a consistent
-//! state ([`DurabilitySink::write_snapshot`]).
+//! After every completed op the sink only *reports* whether a snapshot
+//! is due ([`DurabilitySink::op_finished`]); the hub then quiesces every
+//! block and hands over a consistent state
+//! ([`DurabilitySink::write_snapshot`]), so the sink can cut a snapshot
+//! and truncate the log at a safe point.
 
 use idr_relation::exec::ExecError;
 use idr_relation::{DatabaseState, Tuple};
 
-/// One loggable session mutation, borrowed from the caller at the
+/// One loggable mutation, borrowed from the caller at the
 /// write-ahead point (before the in-memory state changes).
 #[derive(Clone, Copy, Debug)]
 pub enum DurableOp<'a> {
-    /// [`Session::insert`](crate::Session::insert) of `t` into relation
-    /// `rel` — logged whether the insert ends up accepted or rejected;
-    /// replay re-derives the verdict.
+    /// [`WriteHandle::insert`](crate::WriteHandle::insert) of `t` into
+    /// relation `rel` — logged whether the insert ends up accepted or
+    /// rejected; replay re-derives the verdict.
     Insert {
         /// Target relation index.
         rel: usize,
         /// The tuple being inserted.
         t: &'a Tuple,
     },
-    /// [`Session::delete`](crate::Session::delete) of `t` from relation
-    /// `rel`.
+    /// [`WriteHandle::delete`](crate::WriteHandle::delete) of `t` from
+    /// relation `rel`.
     Delete {
         /// Target relation index.
         rel: usize,
@@ -62,34 +53,15 @@ pub enum DurableOp<'a> {
     },
 }
 
-/// A write-ahead durability sink for session mutations. Implemented by
-/// `idr_store::Store`; the engine only sees this trait, so the core crate
-/// stays independent of the storage layer.
+/// A write-ahead durability sink shared by concurrent writers, through
+/// `&self` so many [`WriteHandle`](crate::WriteHandle)s can log at once.
+/// Implementations serialise (or group-commit) internally;
+/// `idr_store::SharedStore` is the canonical one. The engine only sees
+/// this trait, so the core crate stays independent of the storage layer.
 ///
 /// Errors are surfaced as [`ExecError`] (storage failures map to
 /// [`ExecError::Faulted`]); a failed `log_op` aborts the mutation before
 /// memory changes, keeping log and memory in agreement.
-pub trait Durability: std::fmt::Debug {
-    /// Appends the intent record for `op`. Called before the session
-    /// mutates in-memory state; on `Err` the mutation is not attempted.
-    fn log_op(&mut self, op: DurableOp<'_>) -> Result<(), ExecError>;
-
-    /// Marks the most recently logged op as rolled back. Called when the
-    /// mutation failed with a typed error after `log_op` (the session has
-    /// already restored its in-memory state).
-    fn log_abort(&mut self) -> Result<(), ExecError>;
-
-    /// Called after every op that reached a verdict, with the post-op
-    /// state. Implementations use this to cut periodic snapshots and
-    /// compact the log.
-    fn op_finished(&mut self, state: &DatabaseState) -> Result<(), ExecError>;
-}
-
-/// A write-ahead durability sink shared by concurrent writers: the same
-/// log/abort contract as [`Durability`], but through `&self` so many
-/// [`WriteHandle`](crate::WriteHandle)s can log at once. Implementations
-/// serialise (or group-commit) internally; `idr_store::SharedStore` is
-/// the canonical one.
 ///
 /// The write pipeline calls [`log_op`](DurabilitySink::log_op) while
 /// holding the target block's write lock, so the log order of any one

@@ -23,10 +23,6 @@
 //! concurrent final state** — the invariant the concurrency stress suite
 //! and the `idr fuzz --concurrent` oracle arm check end to end.
 //!
-//! The pre-0.7 [`Session`](crate::Session) facade survives as a thin
-//! compatibility shim over this module (one hub, one mirror state, no
-//! shared sink); see DESIGN.md §14 for the migration guide.
-//!
 //! # Example
 //!
 //! ```
@@ -314,8 +310,8 @@ impl BatchOp {
 impl<'e> Hub<'e> {
     /// Builds the hub: chases every block (in parallel when the engine
     /// enables it), carves the state into per-block slots, and publishes
-    /// epoch 0. Emits the same `session_built` event and metrics as the
-    /// legacy session build — the shim delegates here.
+    /// epoch 0. Emits the `session_built` event and the `session.build*`
+    /// metrics.
     pub(crate) fn build(
         engine: &'e Engine,
         state: &DatabaseState,
@@ -455,7 +451,12 @@ impl<'e> Hub<'e> {
     }
 
     /// Provenance for a derived tuple: searches the live block tableaux
-    /// in block order. See `Session::explain` for the contract.
+    /// (in block order) for a row witnessing `t` total on `x` and
+    /// returns its per-column fd-firing chains. Chains are empty unless
+    /// the engine was built with
+    /// [`Observability::provenance`](crate::Observability::provenance)
+    /// set. `None` when no row witnesses `t` — in particular when `t` is
+    /// not in the X-total projection.
     pub fn explain(&self, x: AttrSet, t: &Tuple) -> Option<TupleExplanation> {
         self.shared
             .slots
@@ -484,8 +485,9 @@ impl<'e> Hub<'e> {
         total
     }
 
-    /// The shim's live query path: the legacy `Session::total_projection`
-    /// semantics over a caller-supplied base state (the shim's mirror).
+    /// The one-shot query path behind [`Engine::total_projection`]: the
+    /// live tableaux decide consistency, and `state` (the state the hub
+    /// was built from) feeds the Theorem 4.1 expression.
     pub(crate) fn query_live(
         &self,
         state: &DatabaseState,
@@ -518,179 +520,6 @@ impl<'e> Hub<'e> {
             let ir = self.engine.ir().expect("block slots imply an IR partition");
             ir.block_of[i]
         }
-    }
-
-    /// `Some(err)` when relation `i`'s block is currently poisoned — the
-    /// legacy shim checks this *before* logging the intent record.
-    pub(crate) fn block_failure(&self, i: usize) -> Option<ExecError> {
-        lock_slot(&self.shared.slots[self.slot_of(i)])
-            .chase
-            .failure()
-            .map(|f| f.clone().into())
-    }
-
-    /// The slot half of the insert pipeline. Holds the target block's
-    /// lock across *log → chase → apply*, so per-block WAL order equals
-    /// apply order. Returns the verdict plus (on rejection) its
-    /// provenance; emits no events — callers ([`WriteHandle::insert`],
-    /// the `Session` shim) finish the op in their own order.
-    pub(crate) fn insert_op(
-        &self,
-        i: usize,
-        t: Tuple,
-        guard: &Guard,
-    ) -> Result<(bool, Option<RejectionExplanation>), ExecError> {
-        let si = self.slot_of(i);
-        let mut slot = lock_slot(&self.shared.slots[si]);
-        timeline::stamp_current(Phase::LaneAcquire);
-        let lane_t0 = Instant::now();
-        if let Some(f) = slot.chase.failure() {
-            return Err(f.clone().into());
-        }
-        // Write-ahead: commit the intent record before memory changes,
-        // still under the block lock.
-        if let Some(d) = &self.shared.sink {
-            d.log_op(DurableOp::Insert { rel: i, t: &t })?;
-        }
-        // Durable sinks stamp wal-append where the record is queued;
-        // this fallback covers in-memory sinks (first write wins).
-        timeline::stamp_current(Phase::WalAppend);
-        // A capacity trip from the push takes the same rollback branch
-        // as a guard trip mid-chase: rebuild + abort marker.
-        let pushed = slot.chase.push_tuple(&t, Some(i)).map(|_| ());
-        let outcome = match pushed.and_then(|()| slot.chase.run(guard).map(|_| ())) {
-            Ok(_) => {
-                slot.state
-                    .insert(i, t)
-                    .expect("tuple was chased against scheme i, so it matches scheme i");
-                timeline::stamp_current(Phase::Apply);
-                self.shared.stale.store(true, Ordering::Release);
-                Ok((true, None))
-            }
-            Err(ExecError::Inconsistent { .. }) => {
-                // Capture provenance before the rebuild wipes the chase
-                // that found the violation.
-                let why = slot.chase.explain_rejection();
-                slot.chase = self
-                    .rebuilt_chase(si, &slot.state, &Guard::unlimited())
-                    .expect("rebuilding a previously consistent block cannot fail");
-                // A rejection still did its apply work: the chase ran
-                // and the block's tableau was restored.
-                timeline::stamp_current(Phase::Apply);
-                Ok((false, why))
-            }
-            Err(e) => {
-                // Guard trip mid-chase: roll the speculative row back by
-                // rebuilding from the unchanged base substate (a chase
-                // already known to succeed — not charged).
-                slot.chase = self
-                    .rebuilt_chase(si, &slot.state, &Guard::unlimited())
-                    .expect("rebuilding a previously consistent block cannot fail");
-                // Memory is rolled back; mark the logged record aborted
-                // so the log agrees with memory again.
-                if let Some(d) = &self.shared.sink {
-                    d.log_abort()?;
-                }
-                Err(e)
-            }
-        };
-        if let Some(hm) = &self.shared.metrics {
-            hm.lane_ops[si].inc();
-            hm.lane_busy_us[si].add(lane_t0.elapsed().as_micros() as u64);
-            if matches!(outcome, Ok((true, _))) {
-                hm.epoch_lag.add(1);
-            }
-        }
-        drop(slot);
-        if let Ok((_, Some(why))) = &outcome {
-            *self
-                .shared
-                .last_rejection
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(why.clone());
-        }
-        outcome
-    }
-
-    /// The `insert_applied` event + metrics an insert ends with,
-    /// identical for the concurrent pipeline and the `Session` shim.
-    pub(crate) fn emit_insert_event(&self, i: usize, accepted: bool, t0: Instant, guard: &Guard) {
-        let obs = self.engine.observability();
-        obs.tracer.emit_with(|| TraceEvent::InsertApplied {
-            relation: Arc::from(self.engine.scheme().scheme(i).name()),
-            accepted,
-        });
-        if let Some(hm) = &self.shared.metrics {
-            if accepted {
-                hm.inserts_accepted.inc();
-            } else {
-                hm.inserts_rejected.inc();
-            }
-            hm.insert_us.observe_duration(t0.elapsed());
-            hm.record_guard(guard);
-        }
-    }
-
-    /// The `delete_applied` event + metrics a delete ends with.
-    pub(crate) fn emit_delete_event(&self, i: usize, removed: bool, guard: &Guard) {
-        let obs = self.engine.observability();
-        obs.tracer.emit_with(|| TraceEvent::DeleteApplied {
-            relation: Arc::from(self.engine.scheme().scheme(i).name()),
-            removed,
-        });
-        if let Some(hm) = &self.shared.metrics {
-            hm.deletes.inc();
-            hm.record_guard(guard);
-        }
-    }
-
-    /// The slot half of the delete pipeline: log, remove, rebuild the
-    /// block's tableau from its substate (charged against `guard`); on a
-    /// guard trip the tuple is restored and the logged record aborted.
-    /// Emits no events — see [`Hub::insert_op`].
-    pub(crate) fn delete_op(&self, i: usize, t: &Tuple, guard: &Guard) -> Result<bool, ExecError> {
-        let si = self.slot_of(i);
-        let mut slot = lock_slot(&self.shared.slots[si]);
-        timeline::stamp_current(Phase::LaneAcquire);
-        let lane_t0 = Instant::now();
-        // Write-ahead: commit the intent record before memory changes.
-        if let Some(d) = &self.shared.sink {
-            d.log_op(DurableOp::Delete { rel: i, t })?;
-        }
-        timeline::stamp_current(Phase::WalAppend);
-        let removed = slot
-            .state
-            .remove(i, t)
-            .expect("relation index was validated by slot_of");
-        if removed {
-            match self.rebuilt_chase(si, &slot.state, guard) {
-                Ok(chase) => slot.chase = chase,
-                Err(e) => {
-                    // The rebuild never replaced the tableau, so the old
-                    // chase is still answering; put the tuple back so the
-                    // base substate agrees with it — delete is
-                    // all-or-nothing.
-                    slot.state
-                        .insert(i, t.clone())
-                        .expect("tuple was just removed from relation i");
-                    if let Some(d) = &self.shared.sink {
-                        d.log_abort()?;
-                    }
-                    return Err(e);
-                }
-            }
-            self.shared.stale.store(true, Ordering::Release);
-        }
-        timeline::stamp_current(Phase::Apply);
-        if let Some(hm) = &self.shared.metrics {
-            hm.lane_ops[si].inc();
-            hm.lane_busy_us[si].add(lane_t0.elapsed().as_micros() as u64);
-            if removed {
-                hm.epoch_lag.add(1);
-            }
-        }
-        drop(slot);
-        Ok(removed)
     }
 
     /// The slot half of the batch pipeline: applies a framed op group as
@@ -1000,10 +829,19 @@ impl<'e> WriteHandle<'e> {
     }
 
     /// Inserts `t` into relation `i` through the block's serialized
-    /// write lane. Same verdict contract as `Session::insert`:
-    /// `Ok(true)` accepted, `Ok(false)` rejected (state unchanged),
-    /// `Err(Inconsistent)` when the block is already poisoned, other
-    /// `Err`s are guard trips with the op rolled back.
+    /// write lane.
+    ///
+    /// `Ok(true)`: accepted and applied (incrementally — only the rows
+    /// the new tuple touches are re-chased). `Ok(false)`: rejected, the
+    /// state is unchanged (the block's tableau is rebuilt from its
+    /// untouched substate; the rebuild replays a chase already known to
+    /// succeed, so it is not charged) and the provenance is kept for
+    /// [`explain_rejection`](WriteHandle::explain_rejection).
+    /// `Err(Inconsistent)`: the block was already poisoned — maintenance
+    /// needs a consistent base. Other `Err`s are guard trips; the insert
+    /// then did *not* happen (the speculative row is rolled back and a
+    /// durable sink gets an abort marker), so the caller may retry with
+    /// a fresh guard.
     pub fn insert(&self, i: usize, t: Tuple, guard: &Guard) -> Result<bool, ExecError> {
         self.insert_timed(i, t, guard, &Arc::new(OpTimeline::new()))
     }
@@ -1014,6 +852,9 @@ impl<'e> WriteHandle<'e> {
     /// current op so every pipeline layer (block lock, WAL, group
     /// commit) stamps its phase, then folds the completed timeline into
     /// the per-phase histograms.
+    ///
+    /// The target block's lock is held across *log → chase → apply*, so
+    /// per-block WAL order equals apply order.
     pub fn insert_timed(
         &self,
         i: usize,
@@ -1024,21 +865,106 @@ impl<'e> WriteHandle<'e> {
         let _cur = timeline::set_current(tl);
         let t0 = Instant::now();
         let hub = self.hub();
-        let (accepted, _) = hub.insert_op(i, t, guard)?;
+        let si = hub.slot_of(i);
+        let mut slot = lock_slot(&self.shared.slots[si]);
+        timeline::stamp_current(Phase::LaneAcquire);
+        let lane_t0 = Instant::now();
+        if let Some(f) = slot.chase.failure() {
+            return Err(f.clone().into());
+        }
+        // Write-ahead: commit the intent record before memory changes,
+        // still under the block lock.
+        if let Some(d) = &self.shared.sink {
+            d.log_op(DurableOp::Insert { rel: i, t: &t })?;
+        }
+        // Durable sinks stamp wal-append where the record is queued;
+        // this fallback covers in-memory sinks (first write wins).
+        timeline::stamp_current(Phase::WalAppend);
+        let mut why = None;
+        // A capacity trip from the push takes the same rollback branch
+        // as a guard trip mid-chase: rebuild + abort marker.
+        let pushed = slot.chase.push_tuple(&t, Some(i)).map(|_| ());
+        let outcome = match pushed.and_then(|()| slot.chase.run(guard).map(|_| ())) {
+            Ok(_) => {
+                slot.state
+                    .insert(i, t)
+                    .expect("tuple was chased against scheme i, so it matches scheme i");
+                timeline::stamp_current(Phase::Apply);
+                self.shared.stale.store(true, Ordering::Release);
+                Ok(true)
+            }
+            Err(ExecError::Inconsistent { .. }) => {
+                // Capture provenance before the rebuild wipes the chase
+                // that found the violation.
+                why = slot.chase.explain_rejection();
+                slot.chase = hub
+                    .rebuilt_chase(si, &slot.state, &Guard::unlimited())
+                    .expect("rebuilding a previously consistent block cannot fail");
+                // A rejection still did its apply work: the chase ran
+                // and the block's tableau was restored.
+                timeline::stamp_current(Phase::Apply);
+                Ok(false)
+            }
+            Err(e) => {
+                // Guard trip mid-chase: roll the speculative row back by
+                // rebuilding from the unchanged base substate (a chase
+                // already known to succeed — not charged).
+                slot.chase = hub
+                    .rebuilt_chase(si, &slot.state, &Guard::unlimited())
+                    .expect("rebuilding a previously consistent block cannot fail");
+                // Memory is rolled back; mark the logged record aborted
+                // so the log agrees with memory again.
+                if let Some(d) = &self.shared.sink {
+                    d.log_abort()?;
+                }
+                Err(e)
+            }
+        };
+        if let Some(hm) = &self.shared.metrics {
+            hm.lane_ops[si].inc();
+            hm.lane_busy_us[si].add(lane_t0.elapsed().as_micros() as u64);
+            if matches!(outcome, Ok(true)) {
+                hm.epoch_lag.add(1);
+            }
+        }
+        drop(slot);
+        if why.is_some() {
+            *self
+                .shared
+                .last_rejection
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner) = why;
+        }
+        let accepted = outcome?;
         hub.sink_op_finished()?;
         // Publish = the visibility handoff: the op's effect is marked
         // for the next epoch cut and any due snapshot has been taken.
         tl.stamp(Phase::Publish);
-        hub.emit_insert_event(i, accepted, t0, guard);
+        let obs = self.engine.observability();
+        obs.tracer.emit_with(|| TraceEvent::InsertApplied {
+            relation: Arc::from(self.engine.scheme().scheme(i).name()),
+            accepted,
+        });
         if let Some(hm) = &self.shared.metrics {
+            if accepted {
+                hm.inserts_accepted.inc();
+            } else {
+                hm.inserts_rejected.inc();
+            }
+            hm.insert_us.observe_duration(t0.elapsed());
+            hm.record_guard(guard);
             hm.record_timeline(tl);
         }
         Ok(accepted)
     }
 
-    /// Removes `t` from relation `i`. Same contract as
-    /// `Session::delete`: `Ok(false)` when absent, `Err` on a guard trip
-    /// with the delete rolled back.
+    /// Removes `t` from relation `i`. Deletion never breaks consistency
+    /// but can *restore* it; the chase has no incremental delete, so the
+    /// block's tableau is rebuilt from its substate (charged against
+    /// `guard`). `Ok(false)` when the tuple was not present. On `Err` (a
+    /// guard trip mid-rebuild) the delete did *not* happen: the tuple is
+    /// restored, a durable sink gets an abort marker, and the caller may
+    /// retry with a fresh guard.
     pub fn delete(&self, i: usize, t: &Tuple, guard: &Guard) -> Result<bool, ExecError> {
         self.delete_timed(i, t, guard, &Arc::new(OpTimeline::new()))
     }
@@ -1054,11 +980,57 @@ impl<'e> WriteHandle<'e> {
     ) -> Result<bool, ExecError> {
         let _cur = timeline::set_current(tl);
         let hub = self.hub();
-        let removed = hub.delete_op(i, t, guard)?;
+        let si = hub.slot_of(i);
+        let mut slot = lock_slot(&self.shared.slots[si]);
+        timeline::stamp_current(Phase::LaneAcquire);
+        let lane_t0 = Instant::now();
+        // Write-ahead: commit the intent record before memory changes.
+        if let Some(d) = &self.shared.sink {
+            d.log_op(DurableOp::Delete { rel: i, t })?;
+        }
+        timeline::stamp_current(Phase::WalAppend);
+        let removed = slot
+            .state
+            .remove(i, t)
+            .expect("relation index was validated by slot_of");
+        if removed {
+            match hub.rebuilt_chase(si, &slot.state, guard) {
+                Ok(chase) => slot.chase = chase,
+                Err(e) => {
+                    // The rebuild never replaced the tableau, so the old
+                    // chase is still answering; put the tuple back so the
+                    // base substate agrees with it — delete is
+                    // all-or-nothing.
+                    slot.state
+                        .insert(i, t.clone())
+                        .expect("tuple was just removed from relation i");
+                    if let Some(d) = &self.shared.sink {
+                        d.log_abort()?;
+                    }
+                    return Err(e);
+                }
+            }
+            self.shared.stale.store(true, Ordering::Release);
+        }
+        timeline::stamp_current(Phase::Apply);
+        if let Some(hm) = &self.shared.metrics {
+            hm.lane_ops[si].inc();
+            hm.lane_busy_us[si].add(lane_t0.elapsed().as_micros() as u64);
+            if removed {
+                hm.epoch_lag.add(1);
+            }
+        }
+        drop(slot);
         hub.sink_op_finished()?;
         tl.stamp(Phase::Publish);
-        hub.emit_delete_event(i, removed, guard);
+        let obs = self.engine.observability();
+        obs.tracer.emit_with(|| TraceEvent::DeleteApplied {
+            relation: Arc::from(self.engine.scheme().scheme(i).name()),
+            removed,
+        });
         if let Some(hm) = &self.shared.metrics {
+            hm.deletes.inc();
+            hm.record_guard(guard);
             hm.record_timeline(tl);
         }
         Ok(removed)
@@ -1199,7 +1171,7 @@ impl<'e> ReadView<'e> {
     }
 }
 
-/// The IR query path shared by live (shim) and snapshot reads: the
+/// The IR query path shared by one-shot and snapshot reads: the
 /// cached Theorem 4.1 expression over `state`, falling back to one
 /// whole-state chase when no bounded expression covers `x`.
 type ProjectionResult = Result<Option<Vec<Tuple>>, ExecError>;
@@ -1590,11 +1562,16 @@ mod tests {
         let v = hub.read_view();
         assert!(v.is_consistent());
         // [AC] is derivable through the chase even with no AC relation —
-        // and the snapshot path must agree with the one-shot engine path.
+        // and the snapshot path, the one-shot engine path (the live
+        // whole-state tableau) and the reference chase must all agree.
         let x = db.universe().set_of("AC");
         let via_view = v.total_projection(x, &g).unwrap().unwrap();
+        assert_eq!(via_view.len(), 1);
         let via_engine = engine.total_projection(&state, x, &g).unwrap().unwrap();
         assert_eq!(via_view, via_engine);
+        let via_chase =
+            idr_chase::total_projection(&db, &state, engine.key_deps().full(), x, &g).unwrap();
+        assert_eq!(Some(via_view), via_chase);
         let u = db.universe();
         let t = Tuple::from_pairs([
             (u.attr_of("A"), sym.intern("a2")),

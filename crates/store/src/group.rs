@@ -102,8 +102,7 @@ struct GroupCfg {
     /// concurrent appends pile into its batch. Zero: drain immediately.
     window: Duration,
     /// Emit `group_committed` events and `store.group_*` metrics. Off
-    /// for the single-writer legacy path so its event stream is
-    /// unchanged.
+    /// until [`SharedStore::new`] enables grouping.
     grouping: bool,
     tracer: TraceHandle,
     metrics: Option<Arc<GroupMetrics>>,

@@ -4,7 +4,7 @@
 //! steps (Theorems 4.1/4.2); this crate makes that stream survive
 //! process death. Three pieces, all dependency-free:
 //!
-//! * **WAL** ([`wal`]): an append-only log of session ops — one text
+//! * **WAL** ([`wal`]): an append-only log of write ops — one text
 //!   line per record in the CLI's fixture syntax, framed as
 //!   `[len][crc32][payload]` with a vendored [`crc32`](crc32::crc32).
 //!   Appends fsync before the engine mutates memory (write-ahead), so
@@ -26,9 +26,7 @@
 //! the log before memory changes, with the engine's rollback-on-`Err`
 //! paths mirrored by abort markers. Concurrent writers' appends are
 //! coalesced by [`GroupWal`] into one framed batch and **one fsync**
-//! (group commit). The bare [`Store`] still implements the legacy
-//! single-threaded [`Durability`](idr_core::durability::Durability)
-//! hook for the deprecated `Session` shim.
+//! (group commit).
 //!
 //! # Examples
 //!

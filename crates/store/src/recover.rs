@@ -51,7 +51,7 @@ pub struct RecoveryStats {
     pub wal_records: usize,
     /// Bytes of torn final record truncated from the WAL.
     pub torn_bytes: u64,
-    /// Ops replayed through the session (after abort filtering).
+    /// Ops replayed through the write pipeline (after abort filtering).
     pub replayed: usize,
     /// Op records skipped because an `abort` marker followed them.
     pub aborted: usize,
@@ -69,7 +69,7 @@ pub struct Recovered {
     /// The state after snapshot + WAL replay.
     pub state: DatabaseState,
     /// The replayed state's consistency verdict, re-earned through the
-    /// guarded session path.
+    /// guarded write path.
     pub consistent: bool,
     /// What recovery found and did.
     pub stats: RecoveryStats,

@@ -1,20 +1,19 @@
-//! The [`Store`]: a data directory plus an open WAL, implementing the
-//! engine's [`Durability`] hook.
+//! The [`Store`]: a data directory plus an open WAL — the bookkeeping
+//! half of the engine's durability sink ([`crate::SharedStore`] wraps
+//! it as the [`DurabilitySink`](idr_core::DurabilitySink) a hub owns).
 //!
 //! A store owns the canonical [`SymbolTable`] for its data dir (behind
-//! an `Arc<Mutex<…>>` so callers can keep interning while a session
-//! borrows the store as its durability sink) and renders every logged op
-//! through it, in the same fixture syntax the CLI parses. Snapshot
-//! cadence is opt-in: with [`with_snapshot_every`](Store::with_snapshot_every)
-//! set, every `n`-th completed op cuts a snapshot and rotates the WAL to
-//! the next epoch.
+//! an `Arc<Mutex<…>>` so callers can keep interning while a hub logs
+//! through the store) and renders every logged op through it, in the
+//! same fixture syntax the CLI parses. Snapshot cadence is opt-in: with
+//! [`with_snapshot_every`](Store::with_snapshot_every) set, every `n`-th
+//! completed op cuts a snapshot and rotates the WAL to the next epoch.
 
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use idr_core::durability::{DurableOp, Durability};
+use idr_core::durability::DurableOp;
 use idr_obs::{MetricsRegistry, TraceEvent, TraceHandle};
-use idr_relation::exec::ExecError;
 use idr_relation::parse::{render_scheme_file, render_tuple_line};
 use idr_relation::{DatabaseScheme, DatabaseState, SymbolTable, Tuple};
 
@@ -140,7 +139,7 @@ impl Store {
     }
 
     /// The canonical symbol table for this data dir. Every tuple handed
-    /// to a durable session must be interned through it (the CLI and
+    /// to a durable hub must be interned through it (the CLI and
     /// the fuzzer lock it around `parse_tuple_line`).
     pub fn symbols(&self) -> Arc<Mutex<SymbolTable>> {
         Arc::clone(&self.symbols)
@@ -273,19 +272,10 @@ impl Store {
         Ok((verb, format!("{verb} {}", render_tuple_line(&self.db, &symbols, rel, t))))
     }
 
-    /// Appends one payload, updating counters and emitting the
-    /// `wal_appended` event.
-    fn append(&mut self, verb: &'static str, payload: &str) -> Result<(), StoreError> {
-        let bytes = self.wal.append(payload)?;
-        self.note_append(verb, bytes);
-        Ok(())
-    }
-
     /// Bookkeeping for one appended record: the record counter, the
-    /// `wal_appended` event and the `store.wal_*` metrics. Split from
-    /// [`append`](Store::append) so [`crate::SharedStore`] can run the
-    /// group-commit append *outside* the store lock and account for it
-    /// afterwards.
+    /// `wal_appended` event and the `store.wal_*` metrics.
+    /// [`crate::SharedStore`] runs the group-commit append *outside* the
+    /// store lock and accounts for it here afterwards.
     pub(crate) fn note_append(&mut self, verb: &'static str, bytes: usize) {
         self.wal_records += 1;
         self.tracer.emit_with(|| TraceEvent::WalAppended {
@@ -326,26 +316,5 @@ impl Store {
     /// The attached metrics registry.
     pub(crate) fn metrics(&self) -> Option<Arc<MetricsRegistry>> {
         self.metrics.clone()
-    }
-}
-
-impl Durability for Store {
-    fn log_op(&mut self, op: DurableOp<'_>) -> Result<(), ExecError> {
-        let (verb, payload) = self.render_op(op)?;
-        self.append(verb, &payload)?;
-        Ok(())
-    }
-
-    fn log_abort(&mut self) -> Result<(), ExecError> {
-        self.append("abort", ABORT_PAYLOAD)?;
-        self.note_abort();
-        Ok(())
-    }
-
-    fn op_finished(&mut self, state: &DatabaseState) -> Result<(), ExecError> {
-        if self.snapshot_due() {
-            self.snapshot(state)?;
-        }
-        Ok(())
     }
 }

@@ -37,7 +37,7 @@
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use idr_obs::{MetricsRegistry, TraceEvent, TraceHandle};
@@ -347,9 +347,23 @@ impl FramedConn {
                 detail: format!("frame length {len} exceeds cap {MAX_WIRE_FRAME}"),
             });
         }
-        let mut payload = vec![0u8; len];
-        self.read_exact(&mut payload, "frame payload")
+        // The header's length is a claim, not a fact: grow the buffer
+        // only as payload bytes actually arrive, so a peer that lies
+        // about the length and hangs up pins no more than it sent.
+        let mut payload = Vec::new();
+        let got = (&mut self.stream)
+            .take(len as u64)
+            .read_to_end(&mut payload)
             .map_err(|e| self.classify(e, "frame payload"))?;
+        if got < len {
+            return Err(io_err(
+                "frame payload",
+                &std::io::Error::new(
+                    std::io::ErrorKind::UnexpectedEof,
+                    format!("connection cut mid-frame payload ({got} of {len} bytes)"),
+                ),
+            ));
+        }
         let computed = crc32(&payload);
         if computed != stored_crc {
             return Err(WireError::Frame {
@@ -479,6 +493,15 @@ pub struct ExchangeOutcome {
     pub killed: bool,
 }
 
+/// Locks the replica, recovering from poison: one exchange thread that
+/// panicked must not cascade into every later exchange and the listener
+/// serving them. The journals are the durable truth (every attach is
+/// verified against its digest chain), and the materialised state is
+/// re-derivable from them ([`Replica::reopen`]).
+fn lock_replica(replica: &Mutex<Replica>) -> MutexGuard<'_, Replica> {
+    replica.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Handles one received message through the replica, honouring armed
 /// crash faults. Returns `false` when the exchange must stop (a crash
 /// fired).
@@ -512,17 +535,17 @@ fn deliver(
                 base_chain: *base_chain,
                 frame: frame[..cut].to_vec(),
             };
-            let mut r = replica.lock().unwrap();
-            r.receive(peer, &torn, guard).map_err(WireError::Exec)?;
+            lock_replica(replica)
+                .receive(peer, &torn, guard)
+                .map_err(WireError::Exec)?;
         }
         outcome.crashed = Some(step);
         let _ = conn.stream().shutdown(Shutdown::Both);
         return Ok(false);
     }
-    let out = {
-        let mut r = replica.lock().unwrap();
-        r.receive(peer, msg, guard).map_err(WireError::Exec)?
-    };
+    let out = lock_replica(replica)
+        .receive(peer, msg, guard)
+        .map_err(WireError::Exec)?;
     outcome.appended += out.appended;
     if let Message::Digest { digest, .. } = msg {
         outcome.peer_digest = Some(digest.clone());
@@ -539,10 +562,7 @@ fn deliver(
         {
             let count = proto::frame_record_count(frame);
             outcome.shipped += count;
-            let src = {
-                let r = replica.lock().unwrap();
-                r.id()
-            };
+            let src = lock_replica(replica).id();
             tracer.emit_with(|| TraceEvent::SyncOpsShipped {
                 src,
                 dst: peer,
@@ -635,12 +655,9 @@ pub fn initiate_exchange(
     let mut conn = FramedConn::new(stream, timeout)?;
     let theirs = handshake(&mut conn, mine)?;
     let mut outcome = ExchangeOutcome::default();
-    let request = {
-        let r = replica.lock().unwrap();
-        Message::Digest {
-            digest: r.digest(),
-            want_reply: true,
-        }
+    let request = Message::Digest {
+        digest: lock_replica(replica).digest(),
+        want_reply: true,
     };
     conn.send(&WireMsg::Msg(request))?;
     outcome.frames_sent += 1;
@@ -1091,6 +1108,76 @@ mod tests {
                 other => panic!("expected handshake rejection, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn length_lie_then_close_is_a_typed_cut_error() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // A header claiming the largest legal frame, a few payload
+        // bytes, then a hang-up.
+        let liar = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            let mut bytes = (MAX_WIRE_FRAME as u32).to_le_bytes().to_vec();
+            bytes.extend_from_slice(&0u32.to_le_bytes());
+            bytes.extend_from_slice(b"hello 1");
+            stream.write_all(&bytes).unwrap();
+        });
+        let (stream, _) = listener.accept().unwrap();
+        let mut conn = FramedConn::new(stream, Duration::from_secs(5)).unwrap();
+        liar.join().unwrap();
+        match conn.recv() {
+            Err(WireError::Io { operation, detail }) => {
+                assert_eq!(operation, "frame payload");
+                assert!(detail.contains("cut mid-frame payload (7 of"), "{detail}");
+            }
+            other => panic!("expected a typed mid-payload cut, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn poisoned_replica_locks_still_converge() {
+        let db = db();
+        let guard = Guard::unlimited();
+        let a = Mutex::new(Replica::new(0, 2, &db));
+        let b = Mutex::new(Replica::new(1, 2, &db));
+        lock_replica(&a)
+            .client_op("insert R1: A=a B=b", &guard)
+            .unwrap();
+        lock_replica(&b)
+            .client_op("insert R2: B=b C=c", &guard)
+            .unwrap();
+        // Poison both locks the way a panicking exchange thread would.
+        for r in [&a, &b] {
+            let died = std::thread::scope(|s| {
+                s.spawn(|| {
+                    let _held = r.lock();
+                    std::panic::resume_unwind(Box::new("injected exchange panic"));
+                })
+                .join()
+            });
+            assert!(died.is_err());
+            assert!(r.is_poisoned());
+        }
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let timeout = Duration::from_secs(5);
+        let (hello_a, hello_b) = (Hello::new(0, 2, &db), Hello::new(1, 2, &db));
+        let tracer = TraceHandle::none();
+        let faults = ExchangeFaults::none();
+        std::thread::scope(|s| {
+            let responder = s.spawn(|| {
+                let (stream, _) = listener.accept().unwrap();
+                respond_exchange(stream, &hello_a, &a, &faults, timeout, &guard, &tracer)
+            });
+            let stream = connect(&addr, timeout).unwrap();
+            initiate_exchange(stream, &hello_b, &b, &faults, timeout, &guard, &tracer).unwrap();
+            responder.join().unwrap().unwrap();
+        });
+        let (ra, rb) = (lock_replica(&a), lock_replica(&b));
+        assert_eq!(ra.digest(), rb.digest());
+        assert_eq!(ra.state_lines(), rb.state_lines());
+        assert_eq!(ra.state_lines().len(), 2);
     }
 
     #[test]

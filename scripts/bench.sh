@@ -77,16 +77,14 @@ print(f"trace overhead on {oh['family']}: "
 #
 # The baseline's milliseconds were recorded on a different day's machine
 # conditions, so the budget is first corrected for environment drift
-# using the fast whole-state chase as the same-run anchor: chase_fast is
-# library code with no instrumentation sites, so its time moves with the
-# machine but never with dormant-tracer cost. (Observed in practice: the
-# uninstrumented incremental chase drifts ~10% between sessions while
-# the noop/fast ratio stays flat.)
+# using the naive whole-state chase as the same-run anchor: it runs with
+# a no-op tracer, so its time moves with the machine but never with the
+# incremental engine's dormant-tracer cost.
 if os.path.exists("BENCH_pr3.json"):
     with open("BENCH_pr3.json") as f:
         base = json.load(f)
-    drift = (largest["full_chase_ms"]["fast"]
-             / base["families"][-1]["full_chase_ms"]["fast"])
+    drift = (largest["full_chase_ms"]["naive"]
+             / base["families"][-1]["full_chase_ms"]["naive"])
     base_noop = base["trace_overhead"]["incremental_noop_ms"]
     budget = base_noop * drift * 1.05 + 0.15
     got = oh["incremental_noop_ms"]

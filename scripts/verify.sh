@@ -12,6 +12,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 # missing_docs) and no broken intra-doc links.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
+# The end-to-end benchmark (BENCHMARK.json) is a cargo package of its
+# own with path dependencies on the crates: build it and run its
+# self-test (every workload at ~10^3 tuples, all output checks on), so
+# an API change that breaks the benchmark fails here.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --self-test > /dev/null
+
 # Markdown doc gate: every intra-repo reference in the tracked docs —
 # markdown links to .md files, and backticked repo paths — must resolve
 # to a file that exists, so specs like docs/WIRE.md cannot silently

@@ -4,7 +4,7 @@
 //! one that died — same state, same re-earned consistency verdict, same
 //! query answers.
 //!
-//! * Round trip: a durable session's ops survive a drop/recover cycle,
+//! * Round trip: a durable hub's ops survive a drop/recover cycle,
 //!   including automatic snapshot rotation mid-stream.
 //! * Torn tail: a crash mid-append leaves an incomplete final record;
 //!   recovery truncates it, and a second recovery sees a clean log.
@@ -19,14 +19,11 @@
 //! * A bounded run of the crash-point fuzzer (`idr-oracle`), which cuts
 //!   the WAL at every byte boundary and diffs recovery against a
 //!   never-crashed oracle.
+//!
+//! Every op goes through the one durable write path: a [`WriteHandle`]
+//! of a hub that owns a [`SharedStore`] as its durability sink.
 
-// These tests drive the legacy single-writer `Durability` hook through
-// the deprecated `Session` shim on purpose: the shim must keep working
-// until it is removed, and this file is its durability coverage. The
-// concurrent `SharedStore`/`DurabilitySink` path is covered by
-// tests/concurrency_stress.rs and the oracle's concurrent arms.
-#![allow(deprecated)]
-
+use std::sync::Arc;
 use std::time::Duration;
 
 use independence_reducible::exec::{Budget, Guard};
@@ -35,7 +32,7 @@ use independence_reducible::prelude::*;
 use independence_reducible::relation::parse::{
     parse_scheme, parse_tuple_line, render_tuple_line,
 };
-use independence_reducible::store::{recover, Store, StoreError, TempDir};
+use independence_reducible::store::{recover, SharedStore, Store, StoreError, TempDir};
 
 /// The doc-example scheme: two independent single-key relations, enough
 /// to exercise accepts, rejects and deletes without chase surprises.
@@ -60,33 +57,48 @@ fn state_lines(db: &DatabaseScheme, state: &DatabaseState, symbols: &SymbolTable
     lines
 }
 
+/// Wraps `store` as the shared durability sink a hub owns.
+fn shared(store: Store) -> Arc<SharedStore> {
+    Arc::new(SharedStore::new(store))
+}
+
 /// Runs `ops` (fixture lines, `+` insert / `-` delete) through a durable
-/// session on `store` starting from the empty state, returning each
-/// op's outcome.
-fn run_ops(store: &mut Store, ops: &[(char, &str)]) -> Vec<bool> {
-    let empty = DatabaseState::empty(store.scheme());
+/// hub on `store` starting from the empty state, returning each op's
+/// outcome.
+fn run_ops(store: &Arc<SharedStore>, ops: &[(char, &str)]) -> Vec<bool> {
+    let empty = DatabaseState::empty(store.lock().scheme());
     run_ops_on_state(store, &empty, ops)
+}
+
+/// Parses one fixture line through the store's canonical symbol table.
+fn tuple(store: &SharedStore, line: &str) -> (usize, Tuple) {
+    let db = store.lock().scheme().clone();
+    let symbols = store.symbols();
+    let mut sym = symbols.lock().unwrap();
+    parse_tuple_line(line, &db, &mut sym).unwrap()
 }
 
 #[test]
 fn snapshot_rotation_and_replay_round_trip() {
     let dir = TempDir::new("roundtrip");
     let db = scheme();
-    let mut store = Store::init(dir.path(), &db)
-        .unwrap()
-        .with_snapshot_every(Some(2));
+    let store = shared(
+        Store::init(dir.path(), &db)
+            .unwrap()
+            .with_snapshot_every(Some(2)),
+    );
     let ops: &[(char, &str)] = &[
         ('+', "R1: A=a1 B=b1"),
         ('+', "R2: C=c1 D=d1"), // op 2 → snapshot, rotate to epoch 1
         ('+', "R1: A=a2 B=b2"),
         ('-', "R2: C=c1 D=d1"),
     ];
-    let outcomes = run_ops(&mut store, ops);
+    let outcomes = run_ops(&store, ops);
     assert_eq!(outcomes, vec![true, true, true, true]);
     // The rotation happened mid-stream: two snapshots were cut (after
     // op 2 and op 4), so the live WAL is empty again.
-    assert_eq!(store.epoch(), 2);
-    assert_eq!(store.wal_records(), 0);
+    assert_eq!(store.lock().epoch(), 2);
+    assert_eq!(store.lock().wal_records(), 0);
     drop(store); // simulate process death
 
     let rec = recover(dir.path()).unwrap();
@@ -101,8 +113,8 @@ fn snapshot_rotation_and_replay_round_trip() {
 
     // The recovered store appends where the old one left off: one more
     // durable op, one more recovery.
-    let mut store = rec.store;
-    run_ops_on_state(&mut store, &rec.state, &[('+', "R2: C=c9 D=d9")]);
+    let store = shared(rec.store);
+    run_ops_on_state(&store, &rec.state, &[('+', "R2: C=c9 D=d9")]);
     drop(store);
     let rec = recover(dir.path()).unwrap();
     assert!(rec.consistent);
@@ -111,24 +123,21 @@ fn snapshot_rotation_and_replay_round_trip() {
 }
 
 /// Like [`run_ops`] but resuming from an existing (recovered) state.
-fn run_ops_on_state(store: &mut Store, base: &DatabaseState, ops: &[(char, &str)]) -> Vec<bool> {
-    let db = store.scheme().clone();
-    let symbols = store.symbols();
-    let engine = Engine::new(db.clone());
+fn run_ops_on_state(
+    store: &Arc<SharedStore>,
+    base: &DatabaseState,
+    ops: &[(char, &str)],
+) -> Vec<bool> {
+    let engine = Engine::new(store.lock().scheme().clone());
     let guard = Guard::unlimited();
-    let mut session = engine
-        .session(base, &guard)
-        .unwrap()
-        .with_durability(store);
+    let hub = engine.hub_with(base, &guard, store.clone()).unwrap();
+    let writer = hub.write_handle();
     let mut outcomes = Vec::new();
     for &(kind, line) in ops {
-        let (rel, t) = {
-            let mut sym = symbols.lock().unwrap();
-            parse_tuple_line(line, &db, &mut sym).unwrap()
-        };
+        let (rel, t) = tuple(store, line);
         let ok = match kind {
-            '+' => session.insert(rel, t, &guard).unwrap(),
-            '-' => session.delete(rel, &t, &guard).unwrap(),
+            '+' => writer.insert(rel, t, &guard).unwrap(),
+            '-' => writer.delete(rel, &t, &guard).unwrap(),
             _ => unreachable!("op kind is '+' or '-'"),
         };
         outcomes.push(ok);
@@ -140,11 +149,8 @@ fn run_ops_on_state(store: &mut Store, base: &DatabaseState, ops: &[(char, &str)
 fn torn_final_record_is_truncated_and_tolerated() {
     let dir = TempDir::new("torn");
     let db = scheme();
-    let mut store = Store::init(dir.path(), &db).unwrap();
-    run_ops(
-        &mut store,
-        &[('+', "R1: A=a1 B=b1"), ('+', "R2: C=c1 D=d1")],
-    );
+    let store = shared(Store::init(dir.path(), &db).unwrap());
+    run_ops(&store, &[('+', "R1: A=a1 B=b1"), ('+', "R2: C=c1 D=d1")]);
     drop(store);
 
     // Crash mid-append: a partial header at the tail of the live WAL.
@@ -173,8 +179,8 @@ fn torn_final_record_is_truncated_and_tolerated() {
 fn complete_record_with_bad_checksum_is_a_typed_corruption_error() {
     let dir = TempDir::new("corrupt");
     let db = scheme();
-    let mut store = Store::init(dir.path(), &db).unwrap();
-    run_ops(&mut store, &[('+', "R1: A=a1 B=b1")]);
+    let store = shared(Store::init(dir.path(), &db).unwrap());
+    run_ops(&store, &[('+', "R1: A=a1 B=b1")]);
     drop(store);
 
     // Flip the last payload byte: the record is structurally complete,
@@ -195,34 +201,28 @@ fn complete_record_with_bad_checksum_is_a_typed_corruption_error() {
 fn guard_tripped_insert_logs_an_abort_marker_that_recovery_skips() {
     let dir = TempDir::new("abort-insert");
     let db = scheme();
-    let mut store = Store::init(dir.path(), &db).unwrap();
+    let store = shared(Store::init(dir.path(), &db).unwrap());
     {
-        let symbols = store.symbols();
         let engine = Engine::new(db.clone());
         let guard = Guard::unlimited();
-        let mut session = engine
-            .session(&DatabaseState::empty(&db), &guard)
-            .unwrap()
-            .with_durability(&mut store);
-        let (rel, t) = {
-            let mut sym = symbols.lock().unwrap();
-            parse_tuple_line("R1: A=a1 B=b1", &db, &mut sym).unwrap()
-        };
-        assert!(session.insert(rel, t, &guard).unwrap());
+        let hub = engine
+            .hub_with(&DatabaseState::empty(&db), &guard, store.clone())
+            .unwrap();
+        let writer = hub.write_handle();
+        let (rel, t) = tuple(&store, "R1: A=a1 B=b1");
+        assert!(writer.insert(rel, t, &guard).unwrap());
         // An already-expired deadline trips the chase after the WAL
-        // record is committed; the engine rolls memory back and appends
+        // record is committed; the writer rolls memory back and appends
         // the abort marker.
         let tripped = Guard::new(Budget::unlimited().with_timeout(Duration::ZERO));
-        let (rel, t) = {
-            let mut sym = symbols.lock().unwrap();
-            parse_tuple_line("R1: A=a2 B=b2", &db, &mut sym).unwrap()
-        };
-        assert!(session.insert(rel, t, &tripped).is_err());
-        // The session stays usable after the rollback.
-        assert!(session.is_consistent());
+        let (rel, t) = tuple(&store, "R1: A=a2 B=b2");
+        assert!(writer.insert(rel, t, &tripped).is_err());
+        // The hub stays usable after the rollback.
+        assert!(hub.is_consistent());
+        assert_eq!(hub.read_view().state().total_tuples(), 1);
     }
     // Log: insert, insert, abort.
-    assert_eq!(store.wal_records(), 3);
+    assert_eq!(store.lock().wal_records(), 3);
     drop(store);
 
     let rec = recover(dir.path()).unwrap();
@@ -239,35 +239,29 @@ fn guard_tripped_insert_logs_an_abort_marker_that_recovery_skips() {
 fn guard_tripped_delete_logs_an_abort_marker_that_recovery_skips() {
     let dir = TempDir::new("abort-delete");
     let db = scheme();
-    let mut store = Store::init(dir.path(), &db).unwrap();
+    let store = shared(Store::init(dir.path(), &db).unwrap());
     {
-        let symbols = store.symbols();
         let engine = Engine::new(db.clone());
         let guard = Guard::unlimited();
-        let mut session = engine
-            .session(&DatabaseState::empty(&db), &guard)
-            .unwrap()
-            .with_durability(&mut store);
-        let (rel, t) = {
-            let mut sym = symbols.lock().unwrap();
-            parse_tuple_line("R1: A=a1 B=b1", &db, &mut sym).unwrap()
-        };
-        assert!(session.insert(rel, t.clone(), &guard).unwrap());
-        let (rel2, t2) = {
-            let mut sym = symbols.lock().unwrap();
-            parse_tuple_line("R1: A=a2 B=b2", &db, &mut sym).unwrap()
-        };
-        assert!(session.insert(rel2, t2, &guard).unwrap());
+        let hub = engine
+            .hub_with(&DatabaseState::empty(&db), &guard, store.clone())
+            .unwrap();
+        let writer = hub.write_handle();
+        let (rel, t) = tuple(&store, "R1: A=a1 B=b1");
+        assert!(writer.insert(rel, t.clone(), &guard).unwrap());
+        let (rel2, t2) = tuple(&store, "R1: A=a2 B=b2");
+        assert!(writer.insert(rel2, t2, &guard).unwrap());
         // Delete rebuilds the touched block under the caller's guard; an
         // expired deadline aborts the rebuild (the surviving tuple keeps
         // it non-trivial) after the record is logged, and the deleted
         // tuple is restored — delete is all-or-nothing.
         let tripped = Guard::new(Budget::unlimited().with_timeout(Duration::ZERO));
-        assert!(session.delete(rel, &t, &tripped).is_err());
-        assert!(session.is_consistent());
+        assert!(writer.delete(rel, &t, &tripped).is_err());
+        assert!(hub.is_consistent());
+        assert!(hub.read_view().state().relation(rel).contains(&t));
     }
     // Log: insert, insert, delete, abort.
-    assert_eq!(store.wal_records(), 4);
+    assert_eq!(store.lock().wal_records(), 4);
     drop(store);
 
     let rec = recover(dir.path()).unwrap();
@@ -281,9 +275,9 @@ fn guard_tripped_delete_logs_an_abort_marker_that_recovery_skips() {
 fn rejected_insert_is_replayed_and_rejected_again() {
     let dir = TempDir::new("reject");
     let db = scheme();
-    let mut store = Store::init(dir.path(), &db).unwrap();
+    let store = shared(Store::init(dir.path(), &db).unwrap());
     let outcomes = run_ops(
-        &mut store,
+        &store,
         &[
             ('+', "R1: A=a1 B=b1"),
             ('+', "R1: A=a1 B=b2"), // key A violation — rejected
@@ -293,7 +287,7 @@ fn rejected_insert_is_replayed_and_rejected_again() {
     assert_eq!(outcomes, vec![true, false, true]);
     // Rejected ops stay in the log (no abort marker — the engine state
     // was never speculatively changed); replay re-derives the verdict.
-    assert_eq!(store.wal_records(), 3);
+    assert_eq!(store.lock().wal_records(), 3);
     drop(store);
 
     let rec = recover(dir.path()).unwrap();
