@@ -11,8 +11,10 @@
 //! * [`chase`] — exhaustive fd-rule application (`CHASE_F(T)`, \[MMS]),
 //!   returning the chased tableau or detecting an inconsistency.
 //! * [`IncrementalChase`] — the union-find worklist engine with
-//!   incremental insert support that backs the `Engine` facade (and
-//!   [`chase_incremental`], its drop-in whole-tableau form).
+//!   incremental insert support: the `Engine` facade's whole-state slot
+//!   for non-IR schemes, its per-block `idr chase`, and its on-demand
+//!   explain paths (and [`chase_incremental`], its drop-in whole-tableau
+//!   form).
 //! * State tableaux `T_r` ([`Tableau::of_state`]) and scheme tableaux
 //!   `T_R` ([`Tableau::of_scheme`]).
 //! * The weak instance model (§2.5): [`is_consistent`],

@@ -4,20 +4,21 @@
 //! key dependencies, Algorithm 6 recognition, the full classification,
 //! and (lazily, cached) the Theorem 4.1 chase-free projection
 //! expressions. [`Engine::hub`] then binds the engine to one database
-//! *state*: it chases the state once and afterwards answers consistency
-//! in O(blocks) and serves inserts through the [`IncrementalChase`]
-//! worklist path, so a stream of updates never re-chases from scratch.
+//! *state* and serves it.
 //!
 //! For independence-reducible schemes the hub exploits Theorems 4.1
-//! and 4.2: each block of the IR partition is chased *separately* (the
-//! blocks are independent, so per-block consistency is global
-//! consistency), and when the engine is built with
-//! [`parallel`](Engine::with_parallel) enabled the per-block chases run
+//! and 4.2: each block of the IR partition is maintained *separately*
+//! (the blocks are independent, so per-block consistency is global
+//! consistency) by its representative instance — built by Algorithm 1,
+//! updated by Algorithm 2 — and when the engine is built with
+//! [`parallel`](Engine::with_parallel) enabled the per-block builds run
 //! on scoped threads. Budgets stay global: every worker charges the same
 //! shared [`Guard`], whose counters are atomic. Results are written into
 //! per-block slots, so parallel evaluation is *deterministic* — the same
-//! inputs produce the same verdicts, stats and (block-ordered) first
-//! error as a serial run.
+//! inputs produce the same verdicts, guard spend and (block-ordered)
+//! first error as a serial run. Non-IR schemes fall back to one
+//! [`IncrementalChase`] tableau over the whole state; [`Engine::chase`]
+//! runs the reference chase block by block on demand.
 //!
 //! Total projections on IR schemes are answered chase-free through the
 //! cached Theorem 4.1 expressions evaluated over the base state; non-IR
@@ -57,7 +58,7 @@
 //! let writer = hub.write_handle();
 //! assert!(hub.read_view().is_consistent());
 //!
-//! // Incremental insert: only the touched block re-chases.
+//! // Incremental insert: Algorithm 2 on the touched block only.
 //! let (rel, t) = parse::parse_tuple_line("R2: C=c D=d", engine.scheme(), &mut sym).unwrap();
 //! assert!(writer.insert(rel, t, &guard).unwrap());
 //!
@@ -77,9 +78,9 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use idr_chase::IncrementalChase;
+use idr_chase::{ChaseStats, IncrementalChase};
 use idr_fd::KeyDeps;
-use idr_obs::{MetricsRegistry, TraceEvent, TraceHandle};
+use idr_obs::{MetricsRegistry, ShardedLog, TraceEvent, TraceHandle};
 use idr_relation::algebra::Expr;
 use idr_relation::exec::{ExecError, Guard};
 use idr_relation::{AttrSet, DatabaseScheme, DatabaseState, Tuple};
@@ -91,10 +92,10 @@ use crate::query::ir_total_projection_expr;
 use crate::recognition::{recognize, IrScheme, Recognition};
 use crate::serving::Hub;
 
-/// Events each per-block shard can hold during one hub build. The
+/// Events each per-block shard can hold during one [`Engine::chase`]. The
 /// ring discards oldest-first beyond this, counting drops — tracing
 /// never aborts an evaluation.
-pub(crate) const SHARD_CAPACITY: usize = 65_536;
+const SHARD_CAPACITY: usize = 65_536;
 
 /// Observability configuration for an [`Engine`]: a trace sink, a
 /// metrics registry, and the provenance switch. All three default to
@@ -109,9 +110,10 @@ pub struct Observability {
     /// Registry fed with engine counters (chase work, session
     /// operations, guard spend) and latency histograms.
     pub metrics: Option<Arc<MetricsRegistry>>,
-    /// When set, block engines record the fd-firing merge forest, and
-    /// [`Hub::explain`] / [`WriteHandle::explain_rejection`](crate::WriteHandle::explain_rejection)
-    /// return full derivation chains.
+    /// When set, the on-demand chases behind [`Hub::explain`] /
+    /// [`WriteHandle::explain_rejection`](crate::WriteHandle::explain_rejection)
+    /// record the fd-firing merge forest and return full derivation
+    /// chains.
     pub provenance: bool,
 }
 
@@ -286,30 +288,32 @@ impl Engine {
         assert!(result.is_err(), "injected panic must propagate to join");
     }
 
-    /// One-shot consistency check: builds a throwaway [`Hub`] (block
-    /// chases, parallel when enabled) and reports its verdict. For a
-    /// stream of checks against an evolving state, keep the hub.
+    /// One-shot consistency check: builds a throwaway [`Hub`] (per-block
+    /// representative instances, parallel when enabled) and reports its
+    /// verdict. For a stream of checks against an evolving state, keep
+    /// the hub.
     pub fn is_consistent(&self, state: &DatabaseState, guard: &Guard) -> Result<bool, ExecError> {
         Ok(self.hub(state, guard)?.is_consistent())
     }
 
-    /// One-shot X-total projection `[x]`. `Ok(None)` when the state is
-    /// inconsistent.
+    /// One-shot X-total projection `[x]`: a throwaway [`Hub`]'s first
+    /// read view answers it. `Ok(None)` when the state is inconsistent.
     pub fn total_projection(
         &self,
         state: &DatabaseState,
         x: AttrSet,
         guard: &Guard,
     ) -> Result<Option<Vec<Tuple>>, ExecError> {
-        self.hub(state, guard)?.query_live(state, x, guard)
+        self.hub(state, guard)?.read_view().total_projection(x, guard)
     }
 
-    /// Binds the engine to a state for concurrent service: chases every
-    /// block (in parallel when enabled) and returns the [`Hub`] that
+    /// Binds the engine to a state for concurrent service: builds every
+    /// block's representative instance (in parallel when enabled; the
+    /// whole-state chase on a non-IR scheme) and returns the [`Hub`] that
     /// hands out [`WriteHandle`](crate::WriteHandle)s and epoch-stamped
     /// [`ReadView`](crate::ReadView)s. An inconsistent state is *not* an
     /// error — the hub reports it through [`Hub::is_consistent`]. `Err`
-    /// means the guard stopped a chase before a verdict.
+    /// means the guard stopped the build before a verdict.
     pub fn hub(&self, state: &DatabaseState, guard: &Guard) -> Result<Hub<'_>, ExecError> {
         Hub::build(self, state, guard, None)
     }
@@ -333,67 +337,108 @@ impl Engine {
         self.parallel
     }
 
-    /// Chases block `b`'s substate under the block's fds, emitting its
-    /// events (and a closing `block_evaluated`) into `trace` — under
-    /// parallel evaluation that is the block's private shard.
-    /// Inconsistency poisons the returned engine rather than erroring —
-    /// the hub reports it as a verdict.
-    pub(crate) fn chase_block(
-        &self,
-        ir: &IrScheme,
-        b: usize,
-        state: &DatabaseState,
-        guard: &Guard,
-        trace: TraceHandle,
-    ) -> Result<IncrementalChase, ExecError> {
-        let mut e = IncrementalChase::new(self.scheme.universe().len(), &ir.block_fds[b])
-            .with_observability(
-                trace.clone(),
-                Some(self.scheme.universe()),
-                &format!("T{}", b + 1),
-            )
-            .with_provenance(self.obs.provenance);
-        for &i in &ir.partition[b] {
-            for t in state.relation(i).iter() {
-                e.push_tuple(t, Some(i))?;
-            }
-        }
-        let e = finish_run(e, guard)?;
-        trace.emit_with(|| TraceEvent::BlockEvaluated {
+    /// Chases `state` with the reference machinery — block by block
+    /// under each block's fds on an IR scheme (Theorem 4.2), one
+    /// whole-state chase otherwise — and reports which blocks are
+    /// inconsistent plus the chase work. This is `idr chase`; the
+    /// serving path never calls it. Blocks run in parallel when enabled,
+    /// each emitting its chase events and a closing `block_evaluated`
+    /// into a private shard merged in block order, so serial and parallel
+    /// traces are identical. Records the `chase.rule_applications` and
+    /// `chase.passes` counters. `Err` means the guard stopped a chase
+    /// before a verdict.
+    pub fn chase(&self, state: &DatabaseState, guard: &Guard) -> Result<ChaseReport, ExecError> {
+        let evaluated = |b: usize, e: &IncrementalChase| TraceEvent::BlockEvaluated {
             block: b,
             consistent: e.failure().is_none(),
             passes: e.stats().passes,
             rule_applications: e.stats().rule_applications,
-        });
-        Ok(e)
+        };
+        let chases: Vec<IncrementalChase> = match self.ir() {
+            Some(ir) if !ir.is_empty() => {
+                let shards = self
+                    .obs
+                    .tracer
+                    .enabled()
+                    .then(|| ShardedLog::new(ir.len(), SHARD_CAPACITY));
+                let built = evaluate_blocks(ir.len(), self.parallel, |b| {
+                    let trace = match &shards {
+                        Some(sh) => TraceHandle::to_log(Arc::clone(sh.shard(b))),
+                        None => TraceHandle::none(),
+                    };
+                    let e = self.chase_slot(Some(b), state, guard, trace.clone())?;
+                    trace.emit_with(|| evaluated(b, &e));
+                    Ok(e)
+                });
+                if let Some(sh) = &shards {
+                    sh.merge_into_handle(&self.obs.tracer);
+                }
+                built.into_iter().collect::<Result<_, ExecError>>()?
+            }
+            _ => {
+                let e = self.chase_slot(None, state, guard, self.obs.tracer.clone())?;
+                self.obs.tracer.emit_with(|| evaluated(0, &e));
+                vec![e]
+            }
+        };
+        let mut report = ChaseReport::default();
+        for (b, e) in chases.iter().enumerate() {
+            if e.failure().is_some() {
+                report.inconsistent_blocks.push(b);
+            }
+            report.stats.passes += e.stats().passes;
+            report.stats.rule_applications += e.stats().rule_applications;
+        }
+        if let Some(m) = &self.obs.metrics {
+            m.counter("chase.rule_applications")
+                .add(report.stats.rule_applications as u64);
+            m.counter("chase.passes").add(report.stats.passes as u64);
+            self.record_guard_metrics(guard);
+        }
+        Ok(report)
     }
 
-    pub(crate) fn chase_whole(
+    /// Chases `state` into `trace`: block `b`'s relations under the
+    /// block's fds for `Some(b)` on an IR scheme, the whole state under
+    /// every key dependency for `None`. Inconsistency poisons the
+    /// returned engine rather than erroring — it is a verdict.
+    pub(crate) fn chase_slot(
         &self,
+        block: Option<usize>,
         state: &DatabaseState,
         guard: &Guard,
+        trace: TraceHandle,
     ) -> Result<IncrementalChase, ExecError> {
-        let e = IncrementalChase::of_state(&self.scheme, state, self.kd.full())?
-            .with_observability(self.obs.tracer.clone(), Some(self.scheme.universe()), "whole")
-            .with_provenance(self.obs.provenance);
-        let e = finish_run(e, guard)?;
-        self.obs.tracer.emit_with(|| TraceEvent::BlockEvaluated {
-            block: 0,
-            consistent: e.failure().is_none(),
-            passes: e.stats().passes,
-            rule_applications: e.stats().rule_applications,
-        });
-        Ok(e)
+        let u = self.scheme.universe();
+        let mut e = match (block, self.ir()) {
+            (Some(b), Some(ir)) => {
+                let mut e = IncrementalChase::new(u.len(), &ir.block_fds[b]);
+                for &i in &ir.partition[b] {
+                    for t in state.relation(i).iter() {
+                        e.push_tuple(t, Some(i))?;
+                    }
+                }
+                e.with_observability(trace, Some(u), &format!("T{}", b + 1))
+            }
+            _ => IncrementalChase::of_state(&self.scheme, state, self.kd.full())?
+                .with_observability(trace, Some(u), "whole"),
+        }
+        .with_provenance(self.obs.provenance);
+        match e.run(guard) {
+            Ok(_) | Err(ExecError::Inconsistent { .. }) => Ok(e),
+            Err(err) => Err(err),
+        }
     }
 }
 
-/// Runs the engine to fixpoint; an inconsistency is a verdict (the engine
-/// stays poisoned), any other error propagates.
-fn finish_run(mut e: IncrementalChase, guard: &Guard) -> Result<IncrementalChase, ExecError> {
-    match e.run(guard) {
-        Ok(_) | Err(ExecError::Inconsistent { .. }) => Ok(e),
-        Err(err) => Err(err),
-    }
+/// What [`Engine::chase`] found.
+#[derive(Clone, Debug, Default)]
+pub struct ChaseReport {
+    /// Blocks whose substate chased to an inconsistency, in block order
+    /// (`[0]` for an inconsistent whole-state chase).
+    pub inconsistent_blocks: Vec<usize>,
+    /// Chase work summed over every block.
+    pub stats: ChaseStats,
 }
 
 /// Evaluates `f(0), …, f(count − 1)` into index-ordered slots, on scoped
@@ -644,7 +689,7 @@ mod tests {
         );
         for parallel in [false, true] {
             let e = Engine::new(db.clone()).with_parallel(parallel);
-            let tight = Guard::new(Budget::unlimited().with_max_chase_steps(1));
+            let tight = Guard::new(Budget::unlimited().with_max_lookups(1));
             let err = e.hub(&w.state, &tight).unwrap_err();
             assert!(
                 matches!(err, ExecError::BudgetExceeded { .. }),
@@ -665,9 +710,9 @@ mod tests {
     #[test]
     fn delete_is_atomic_under_a_guard_trip() {
         // star(3) — R0(K A0), R1(K A1), R2(K A2), all keyed on K — with
-        // three rows sharing the hub value, so any tableau rebuild must
-        // fire at least one fd rule and a `max_chase_steps = 0` guard
-        // trips mid-rebuild.
+        // three rows sharing the hub value: rebuilding the block's rep
+        // after the delete probes the key index, so a `max_lookups = 0`
+        // guard trips mid-rebuild.
         let db = idr_workload::generators::star_scheme(3);
         let mut sym = SymbolTable::new();
         let state = state_of(
@@ -690,7 +735,7 @@ mod tests {
         ]);
         let x = AttrSet::from_iter([u.attr_of("K"), u.attr_of("A2")]);
 
-        let tight = Guard::new(Budget::unlimited().with_max_chase_steps(0));
+        let tight = Guard::new(Budget::unlimited().with_max_lookups(0));
         let err = w.delete(2, &t, &tight).unwrap_err();
         assert!(matches!(err, ExecError::BudgetExceeded { .. }), "{err:?}");
 
@@ -701,7 +746,7 @@ mod tests {
         assert!(view.state().relation(2).contains(&t));
         let proj = view.total_projection(x, &g).unwrap().unwrap();
         assert!(proj.contains(&t), "expression path lost the tuple");
-        assert!(hub.explain(x, &t).is_some(), "chase path lost the tuple");
+        assert!(hub.explain(x, &t).is_some(), "block rep lost the tuple");
 
         // A retry with budget completes the delete on both paths.
         assert!(w.delete(2, &t, &g).unwrap());

@@ -23,7 +23,10 @@
 //! | Theorem 3.4's adversarial construction | [`ctm_witness`] |
 //!
 //! The generic chase (`idr-chase`) is used as the semantic oracle in the
-//! test suites; the algorithms here never call it on the fast path.
+//! test suites, as the whole-state fallback for non-IR schemes, and on
+//! demand by `idr chase` and the explain paths; the algorithms here never
+//! call it on the fast path — an IR hub's writes, batches, replays and
+//! builds run Algorithms 1 and 2 only.
 //!
 //! Every hot entry point takes a [`exec::Guard`] and meters its work
 //! against the guard's [`exec::Budget`], returning a typed
@@ -35,7 +38,8 @@
 //! projection expressions. Bind it to a state with [`engine::Engine::hub`]
 //! and serve many clients at once through the split
 //! [`serving::WriteHandle`] / [`serving::ReadView`] API — per-block
-//! serialized writes (Theorem 4.2 block independence makes cross-block
+//! serialized writes, each maintained by Algorithm 2 on the block's
+//! representative instance (Theorem 4.2 block independence makes cross-block
 //! ops commute) and epoch-stamped snapshot reads.
 
 
@@ -61,7 +65,7 @@ pub mod split;
 
 pub use classify::{classify, Classification};
 pub use durability::{DurabilitySink, DurableOp};
-pub use engine::{Engine, Observability};
+pub use engine::{ChaseReport, Engine, Observability};
 pub use replay::{ReplayError, ReplayOutcome};
 pub use serving::{BatchOp, Hub, ReadView, Snapshot, WriteHandle};
 pub use exec::{

@@ -108,6 +108,50 @@ pub fn algorithm2(
     Ok((MaintenanceOutcome::Consistent(q), stats))
 }
 
+/// Theorem 4.2's per-block insert step: [`algorithm2`] decides the
+/// insert of `t` into relation `si` against the block's representative
+/// instance, and an accepted insert merges Algorithm 2's assembled tuple
+/// into `rep`. The decision is metered against `guard`; the merge runs
+/// unmetered on purpose — interrupting it would leave the rep
+/// half-updated, and its cost is bounded by the lookups the decision
+/// already paid for. A rejection or an error leaves `rep` untouched.
+pub fn rep_insert(
+    scheme: &DatabaseScheme,
+    rep: &mut KeRep,
+    si: usize,
+    t: &Tuple,
+    guard: &Guard,
+    retry: &RetryPolicy,
+) -> Result<(MaintenanceOutcome, MaintenanceStats), ExecError> {
+    let (outcome, stats) = algorithm2(scheme, rep, si, t, guard, retry)?;
+    if let MaintenanceOutcome::Consistent(q) = &outcome {
+        rep.insert_merge(q.clone(), &Guard::unlimited())
+            .expect("Algorithm 2 accepted; merge cannot conflict");
+    }
+    Ok((outcome, stats))
+}
+
+/// Algorithm 1 over block `b`'s relations of `state`: the block's
+/// representative instance, with every key-index probe charged as a
+/// lookup against `guard`. An inconsistent block substate surfaces as
+/// [`ExecError::Inconsistent`] naming the block.
+pub fn block_rep(
+    ir: &IrScheme,
+    b: usize,
+    state: &DatabaseState,
+    guard: &Guard,
+) -> Result<KeRep, ExecError> {
+    let tuples = ir.partition[b]
+        .iter()
+        .flat_map(|&i| state.relation(i).iter().cloned());
+    KeRep::build(&ir.block_keys[b], tuples, guard).map_err(|e| match e {
+        ExecError::Inconsistent { detail } => ExecError::Inconsistent {
+            detail: format!("block {b}: {detail}"),
+        },
+        e => e,
+    })
+}
+
 /// A hash index over the raw tuples of a block substate: for each member
 /// scheme and each of its keys, key values → tuple. This is what makes
 /// Algorithm 4's selections `σ_Φ(π_X(Sᵢ))` constant-time.
@@ -436,22 +480,9 @@ impl IrMaintainer {
         state: &DatabaseState,
         guard: &Guard,
     ) -> Result<Self, ExecError> {
-        let mut reps = Vec::with_capacity(ir.len());
-        for (b, block) in ir.partition.iter().enumerate() {
-            let keys = &ir.block_keys[b];
-            let tuples = block
-                .iter()
-                .flat_map(|&i| state.relation(i).iter().cloned());
-            match KeRep::build(keys, tuples, guard) {
-                Ok(rep) => reps.push(rep),
-                Err(ExecError::Inconsistent { detail }) => {
-                    return Err(ExecError::Inconsistent {
-                        detail: format!("block {b}: {detail}"),
-                    })
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        let reps = (0..ir.len())
+            .map(|b| block_rep(ir, b, state, guard))
+            .collect::<Result<_, _>>()?;
         Ok(IrMaintainer {
             scheme: scheme.clone(),
             ir: ir.clone(),
@@ -481,13 +512,10 @@ impl IrMaintainer {
     /// Checks an insertion into relation `scheme_idx` and, when consistent,
     /// applies it (updating the block's representative instance).
     ///
-    /// Algorithm 2's selections are metered against `guard` and its faults
-    /// run through `retry`. When the guard trips or a fault persists, the
-    /// maintainer state is left unchanged — the decision phase failed,
-    /// nothing was applied. The apply phase (merging the accepted tuple
-    /// into the block rep) runs unmetered on purpose: interrupting it
-    /// mid-merge would leave the rep half-updated, and its cost is bounded
-    /// by the work Algorithm 2 already paid for.
+    /// The block step is [`rep_insert`]: Algorithm 2's selections are
+    /// metered against `guard` and its faults run through `retry`; when
+    /// the guard trips or a fault persists, the maintainer state is left
+    /// unchanged.
     pub fn insert(
         &mut self,
         scheme_idx: usize,
@@ -497,12 +525,7 @@ impl IrMaintainer {
     ) -> Result<(MaintenanceOutcome, MaintenanceStats), ExecError> {
         let b = self.ir.block_of[scheme_idx];
         let (outcome, stats) =
-            algorithm2(&self.scheme, &self.reps[b], scheme_idx, &t, guard, retry)?;
-        if let MaintenanceOutcome::Consistent(ref q) = outcome {
-            self.reps[b]
-                .insert_merge(q.clone(), &Guard::unlimited())
-                .expect("Algorithm 2 accepted; merge cannot conflict");
-        }
+            rep_insert(&self.scheme, &mut self.reps[b], scheme_idx, &t, guard, retry)?;
         self.trace.emit_with(|| TraceEvent::InsertApplied {
             relation: Arc::from(self.scheme.scheme(scheme_idx).name()),
             accepted: outcome.is_consistent(),
@@ -526,11 +549,9 @@ impl IrMaintainer {
     /// typed instead of running away.
     pub fn total_projection(
         &self,
-        kd: &idr_fd::KeyDeps,
         x: idr_relation::AttrSet,
         guard: &Guard,
     ) -> Result<Vec<Tuple>, ExecError> {
-        let _ = kd; // block structure suffices; kept for API symmetry
         let block_fds = (0..self.ir.len())
             .map(|b| crate::recognition::block_key_fds(&self.ir, b))
             .fold(idr_fd::FdSet::new(), |acc, f| acc.union(&f));
@@ -626,11 +647,7 @@ impl IrMaintainer {
         guard: &Guard,
     ) -> Result<(), ExecError> {
         let b = self.ir.block_of[scheme_idx];
-        let keys = &self.ir.block_keys[b];
-        let tuples = self.ir.partition[b]
-            .iter()
-            .flat_map(|&i| updated_state.relation(i).iter().cloned());
-        self.reps[b] = KeRep::build(keys, tuples, guard)?;
+        self.reps[b] = block_rep(&self.ir, b, updated_state, guard)?;
         Ok(())
     }
 

@@ -2,13 +2,19 @@
 //! [`WriteHandle`]s and [`ReadView`]s over it.
 //!
 //! Theorem 4.2 is a concurrency structure in disguise: on an
-//! independence-reducible scheme the blocks of the IR partition chase
-//! *independently*, so per-block consistency is global consistency — and
-//! therefore ops on different blocks commute. The hub turns that into a
-//! serving discipline:
+//! independence-reducible scheme the blocks of the IR partition are
+//! maintained *independently*, so per-block consistency is global
+//! consistency — and therefore ops on different blocks commute. The hub
+//! turns that into a serving discipline:
 //!
+//! * **each block slot** holds the block's representative instance
+//!   ([`KeRep`], built by Algorithm 1) beside the block's substate. An
+//!   insert is decided by Algorithm 2 — a handful of key lookups into
+//!   the rep, charged against the guard — and a delete rebuilds the
+//!   block's rep from its substate. A non-IR scheme gets one whole-state
+//!   slot holding an [`IncrementalChase`] tableau instead;
 //! * **writes** go through [`WriteHandle`]: each block has its own write
-//!   lock, a writer holds it across *log → chase → apply*, so the WAL
+//!   lock, a writer holds it across *log → maintain → apply*, so the WAL
 //!   order of any one block equals its apply order while writers on
 //!   different blocks proceed in parallel;
 //! * **reads** go through [`ReadView`]: an epoch-stamped immutable
@@ -78,12 +84,14 @@ use std::time::Instant;
 
 use idr_chase::{IncrementalChase, RejectionExplanation, TupleExplanation};
 use idr_obs::timeline::{self, OpTimeline, Phase};
-use idr_obs::{Counter, Gauge, Histogram, MetricsRegistry, ShardedLog, TraceEvent, TraceHandle};
-use idr_relation::exec::{ExecError, Guard};
+use idr_obs::{Counter, Gauge, Histogram, MetricsRegistry, TraceEvent, TraceHandle};
+use idr_relation::exec::{ExecError, Guard, RetryPolicy};
 use idr_relation::{AttrSet, DatabaseState, Tuple};
 
 use crate::durability::{DurabilitySink, DurableOp};
-use crate::engine::{evaluate_blocks, Engine, SHARD_CAPACITY};
+use crate::engine::{evaluate_blocks, Engine};
+use crate::maintain::{block_rep, rep_insert};
+use crate::rep::KeRep;
 
 /// An immutable, epoch-stamped cut of the hub's state. Cheap to share
 /// (`Arc`ed by [`ReadView`]); queries over it are wait-free with respect
@@ -95,28 +103,46 @@ pub struct Snapshot {
     consistent: bool,
 }
 
-/// One block's serialized write lane: the chased tableau plus the slice
-/// of the base state the block owns (full-width [`DatabaseState`], only
-/// this block's relations populated — blocks partition the relations, so
-/// the union over slots is the whole state).
+/// One block's serialized write lane: the structure that decides its
+/// writes plus the slice of the base state the block owns (full-width
+/// [`DatabaseState`], only this block's relations populated — blocks
+/// partition the relations, so the union over slots is the whole state).
 #[derive(Debug)]
 struct Slot {
-    chase: IncrementalChase,
+    maint: Maint,
     state: DatabaseState,
 }
 
-/// How phase 3 of [`Hub::batch_op`] commits one slot's share of a
-/// batch, decided per slot by [`Hub::batch_slot_verdicts`].
+/// How a slot decides its writes.
 #[derive(Debug)]
-enum SlotPlan {
-    /// The pure-insert fast path already chased the slot's live tableau
-    /// in place; only the substate still has to catch up.
-    InPlace,
-    /// The group was speculated on clones; swap them in wholesale.
-    /// Boxed: the pair is two orders of magnitude larger than the
-    /// `InPlace` tag, and phase 3 moves it exactly once.
-    Swap(Box<(IncrementalChase, DatabaseState)>),
+enum Maint {
+    /// An IR block's representative instance, maintained by Algorithm 2.
+    Rep(KeRep),
+    /// An IR block whose substate is inconsistent (Algorithm 1 failed,
+    /// with this detail): inserts are refused until a delete restores
+    /// consistency.
+    Poisoned(String),
+    /// The non-IR whole-state slot: the incremental chase tableau
+    /// (boxed: it dwarfs a rep, and a hub has at most one).
+    Chase(Box<IncrementalChase>),
 }
+
+impl Maint {
+    /// The inconsistency that poisoned the slot, if any.
+    fn failure(&self) -> Option<ExecError> {
+        match self {
+            Maint::Rep(_) => None,
+            Maint::Poisoned(detail) => Some(ExecError::Inconsistent {
+                detail: detail.clone(),
+            }),
+            Maint::Chase(chase) => chase.failure().map(|f| f.clone().into()),
+        }
+    }
+}
+
+/// The most recent rejected insert: its slot, relation and tuple. Its
+/// explanation is chased on demand ([`Hub::explain_rejection`]).
+type Rejected = (usize, usize, Tuple);
 
 /// State shared by every handle of one hub.
 #[derive(Debug)]
@@ -134,8 +160,8 @@ struct HubShared {
     stale: AtomicBool,
     /// Owned durability sink for the concurrent write pipeline.
     sink: Option<Arc<dyn DurabilitySink>>,
-    /// Provenance of the most recent rejected insert across all writers.
-    last_rejection: Mutex<Option<RejectionExplanation>>,
+    /// The most recent rejected insert across all writers.
+    last_rejection: Mutex<Option<Rejected>>,
     /// Pre-resolved metric handles (None when metrics are off). The
     /// write pipeline must never pay a registry name lookup — the
     /// registry's maps are the locks a periodic snapshot takes.
@@ -213,15 +239,25 @@ impl HubMetrics {
 }
 
 /// Recovers a slot lock from poison: a writer panicking mid-op is
-/// rebuilt away by the rollback paths, and the chase engines themselves
-/// never leave a slot half-mutated across an unwind point we own.
+/// rebuilt away by the rollback paths, and the slot ops themselves never
+/// leave a slot half-mutated across an unwind point we own.
 fn lock_slot(slot: &Mutex<Slot>) -> MutexGuard<'_, Slot> {
     slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
+/// Maps Algorithm 1's outcome onto a block slot: an inconsistent
+/// substate poisons the slot — a verdict, not an error.
+fn block_maint(rep: Result<KeRep, ExecError>) -> Result<Maint, ExecError> {
+    match rep {
+        Ok(rep) => Ok(Maint::Rep(rep)),
+        Err(ExecError::Inconsistent { detail }) => Ok(Maint::Poisoned(detail)),
+        Err(e) => Err(e),
+    }
+}
+
 /// An [`Engine`] bound to one evolving state for concurrent service.
 ///
-/// The hub owns the per-block tableaux and the published snapshot; it
+/// The hub owns the per-block slots and the published snapshot; it
 /// hands out cloneable [`WriteHandle`]s (serialized per block, parallel
 /// across blocks) and epoch-stamped [`ReadView`]s. Built by
 /// [`Engine::hub`] / [`Engine::hub_with`].
@@ -308,10 +344,11 @@ impl BatchOp {
 }
 
 impl<'e> Hub<'e> {
-    /// Builds the hub: chases every block (in parallel when the engine
-    /// enables it), carves the state into per-block slots, and publishes
-    /// epoch 0. Emits the `session_built` event and the `session.build*`
-    /// metrics.
+    /// Builds the hub: carves the state into per-block slots and builds
+    /// every block's representative instance (in parallel when the
+    /// engine enables it; one whole-state chase on a non-IR scheme), then
+    /// publishes epoch 0. Emits the `session_built` event and the
+    /// `session.build*` metrics.
     pub(crate) fn build(
         engine: &'e Engine,
         state: &DatabaseState,
@@ -322,30 +359,8 @@ impl<'e> Hub<'e> {
         let obs = engine.observability();
         let (slots, whole) = match engine.ir() {
             Some(ir) if !ir.is_empty() => {
-                // One private shard per block: workers never contend on
-                // the sink, and draining the shards in block order at
-                // the barrier makes the merged stream identical whether
-                // the blocks ran serially or in parallel.
-                let shards = obs
-                    .tracer
-                    .enabled()
-                    .then(|| ShardedLog::new(ir.len(), SHARD_CAPACITY));
                 let built = evaluate_blocks(ir.len(), engine.parallel_enabled(), |b| {
-                    let trace = match &shards {
-                        Some(sh) => TraceHandle::to_log(Arc::clone(sh.shard(b))),
-                        None => TraceHandle::none(),
-                    };
-                    engine.chase_block(ir, b, state, guard, trace)
-                });
-                if let Some(sh) = &shards {
-                    sh.merge_into_handle(&obs.tracer);
-                }
-                let mut slots = Vec::with_capacity(built.len());
-                for (b, r) in built.into_iter().enumerate() {
-                    let mut chase = r?;
-                    // The shards are drained; point incremental work
-                    // straight at the hub's sink.
-                    chase.retarget_trace(obs.tracer.clone());
+                    let maint = block_maint(block_rep(ir, b, state, guard))?;
                     let mut sub = DatabaseState::empty(engine.scheme());
                     for &i in &ir.partition[b] {
                         for t in state.relation(i).iter() {
@@ -353,21 +368,24 @@ impl<'e> Hub<'e> {
                                 .expect("tuple comes from relation i of a matching state");
                         }
                     }
-                    slots.push(Mutex::new(Slot { chase, state: sub }));
-                }
-                (slots, false)
+                    Ok(Mutex::new(Slot { maint, state: sub }))
+                });
+                (built.into_iter().collect::<Result<_, ExecError>>()?, false)
             }
             _ => (
                 vec![Mutex::new(Slot {
-                    chase: engine.chase_whole(state, guard)?,
+                    maint: Maint::Chase(Box::new(engine.chase_slot(
+                        None,
+                        state,
+                        guard,
+                        obs.tracer.clone(),
+                    )?)),
                     state: state.clone(),
                 })],
                 true,
             ),
         };
-        let consistent = slots
-            .iter()
-            .all(|s| lock_slot(s).chase.failure().is_none());
+        let consistent = slots.iter().all(|s| lock_slot(s).maint.failure().is_none());
         let metrics = obs
             .metrics
             .as_ref()
@@ -397,10 +415,6 @@ impl<'e> Hub<'e> {
             m.counter("session.builds").inc();
             m.latency_histogram("session.build_us")
                 .observe_duration(t0.elapsed());
-            let stats = hub.chase_stats();
-            m.counter("chase.rule_applications")
-                .add(stats.rule_applications as u64);
-            m.counter("chase.passes").add(stats.passes as u64);
             engine.record_guard_metrics(guard);
         }
         Ok(hub)
@@ -436,7 +450,7 @@ impl<'e> Hub<'e> {
         self.shared
             .slots
             .iter()
-            .all(|s| lock_slot(s).chase.failure().is_none())
+            .all(|s| lock_slot(s).maint.failure().is_none())
     }
 
     /// Block indexes whose substate is inconsistent (always `[0]` or
@@ -446,69 +460,66 @@ impl<'e> Hub<'e> {
             .slots
             .iter()
             .enumerate()
-            .filter_map(|(b, s)| lock_slot(s).chase.failure().map(|_| b))
+            .filter(|(_, s)| lock_slot(s).maint.failure().is_some())
+            .map(|(b, _)| b)
             .collect()
     }
 
-    /// Provenance for a derived tuple: searches the live block tableaux
-    /// (in block order) for a row witnessing `t` total on `x` and
-    /// returns its per-column fd-firing chains. Chains are empty unless
-    /// the engine was built with
+    /// Provenance for a derived tuple: the first block (in block order)
+    /// witnessing `t` total on `x`, with per-column fd-firing chains.
+    /// On an IR block the witness is a live representative-instance
+    /// tuple total on `x` agreeing with `t`, and the chains come from an
+    /// on-demand chase of the block's substate; the whole-state slot
+    /// answers from its live tableau. Chains are empty unless the engine
+    /// was built with
     /// [`Observability::provenance`](crate::Observability::provenance)
-    /// set. `None` when no row witnesses `t` — in particular when `t` is
+    /// set. `None` when nothing witnesses `t` — in particular when `t` is
     /// not in the X-total projection.
     pub fn explain(&self, x: AttrSet, t: &Tuple) -> Option<TupleExplanation> {
-        self.shared
-            .slots
-            .iter()
-            .find_map(|s| lock_slot(s).chase.explain_tuple(x, t))
+        self.shared.slots.iter().enumerate().find_map(|(si, s)| {
+            let slot = lock_slot(s);
+            match &slot.maint {
+                Maint::Chase(chase) => chase.explain_tuple(x, t),
+                Maint::Poisoned(_) => None,
+                Maint::Rep(rep) => {
+                    let agrees = |r: &Tuple| {
+                        x.iter()
+                            .all(|a| r.get(a).is_some_and(|v| t.get(a) == Some(v)))
+                    };
+                    if !rep.iter().any(agrees) {
+                        return None;
+                    }
+                    let unl = Guard::unlimited();
+                    let chase = self
+                        .engine
+                        .chase_slot(Some(si), &slot.state, &unl, TraceHandle::none())
+                        .expect("an unlimited chase of a consistent block cannot trip");
+                    // The rep decides presence; a chase that disagrees
+                    // (the rep drifted from its substate) still reports
+                    // the rep's witness, with no row and no chains.
+                    Some(chase.explain_tuple(x, t).unwrap_or(TupleExplanation {
+                        row: chase.len(),
+                        tag: None,
+                        cells: Vec::new(),
+                    }))
+                }
+            }
+        })
     }
 
-    /// Provenance of the most recent rejected insert across all writers
-    /// (cloned out of the hub — under concurrency a borrow would race).
+    /// Provenance of the most recent rejected insert across all writers:
+    /// the rejected tuple is chased on demand against its block's
+    /// current substate. `None` when no insert was rejected, or when
+    /// later writes to the block have since made the tuple acceptable.
     pub fn explain_rejection(&self) -> Option<RejectionExplanation> {
-        self.shared
+        let (si, rel, t) = self
+            .shared
             .last_rejection
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone()
-    }
-
-    /// Aggregated chase work across every block tableau.
-    pub fn chase_stats(&self) -> idr_chase::ChaseStats {
-        let mut total = idr_chase::ChaseStats::default();
-        for s in &self.shared.slots {
-            let stats = lock_slot(s).chase.stats();
-            total.passes += stats.passes;
-            total.rule_applications += stats.rule_applications;
-        }
-        total
-    }
-
-    /// The one-shot query path behind [`Engine::total_projection`]: the
-    /// live tableaux decide consistency, and `state` (the state the hub
-    /// was built from) feeds the Theorem 4.1 expression.
-    pub(crate) fn query_live(
-        &self,
-        state: &DatabaseState,
-        x: AttrSet,
-        guard: &Guard,
-    ) -> Result<Option<Vec<Tuple>>, ExecError> {
-        let t0 = Instant::now();
-        if !self.is_consistent() {
-            return Ok(None);
-        }
-        let (result, method) = if self.shared.whole {
-            // The live whole-state tableau answers directly.
-            (
-                Ok(Some(lock_slot(&self.shared.slots[0]).chase.total_projection(x))),
-                "chase",
-            )
-        } else {
-            project_ir(self.engine, state, x, guard)?
-        };
-        emit_query(self.engine, x, method, &result, t0, guard);
-        result
+            .clone()?;
+        let slot = lock_slot(&self.shared.slots[si]);
+        self.rejection_chase(si, &slot.state, rel, &t, TraceHandle::none())
     }
 
     /// Routes relation `i` to its slot index.
@@ -522,23 +533,140 @@ impl<'e> Hub<'e> {
         }
     }
 
+    /// Decides and applies an insert of `t` into relation `rel` of slot
+    /// `si` — Algorithm 2 on an IR block's rep, a push-and-run on the
+    /// whole-state tableau. `Ok(true)`: accepted, rep and substate
+    /// updated. `Ok(false)`: rejected, the slot is unchanged (a tracer,
+    /// when on, receives the rejection's chase). `Err`: a poisoned slot
+    /// or a guard trip; the slot is unchanged.
+    fn slot_insert(
+        &self,
+        si: usize,
+        slot: &mut Slot,
+        rel: usize,
+        t: &Tuple,
+        guard: &Guard,
+    ) -> Result<bool, ExecError> {
+        let accepted = match &mut slot.maint {
+            Maint::Rep(rep) => {
+                let scheme = self.engine.scheme();
+                let (outcome, _) = rep_insert(scheme, rep, rel, t, guard, &RetryPolicy::none())?;
+                let tracer = &self.engine.observability().tracer;
+                if !outcome.is_consistent() && tracer.enabled() {
+                    self.rejection_chase(si, &slot.state, rel, t, tracer.clone());
+                }
+                outcome.is_consistent()
+            }
+            Maint::Poisoned(detail) => {
+                return Err(ExecError::Inconsistent {
+                    detail: detail.clone(),
+                })
+            }
+            Maint::Chase(chase) => {
+                let pushed = chase.push_tuple(t, Some(rel)).map(|_| ());
+                match pushed.and_then(|()| chase.run(guard).map(|_| ())) {
+                    Ok(()) => true,
+                    // The tableau holds the speculative row either way:
+                    // rebuild it from the untouched substate (a chase
+                    // already known to succeed — not charged).
+                    Err(e) => {
+                        slot.maint = self
+                            .rebuilt(si, &slot.state, &Guard::unlimited())
+                            .expect("rebuilding a previously consistent block cannot fail");
+                        match e {
+                            ExecError::Inconsistent { .. } => false,
+                            e => return Err(e),
+                        }
+                    }
+                }
+            }
+        };
+        if accepted {
+            slot.state
+                .insert(rel, t.clone())
+                .expect("tuple was checked against scheme rel, so it matches");
+        }
+        Ok(accepted)
+    }
+
+    /// Removes `t` from relation `rel` of slot `si` and rebuilds the
+    /// slot's rep (or tableau) from the smaller substate under `guard`.
+    /// `Ok(false)` when the tuple was absent. On `Err` (a guard trip
+    /// mid-rebuild) the tuple is restored and the old rep still answers.
+    fn slot_delete(
+        &self,
+        si: usize,
+        slot: &mut Slot,
+        rel: usize,
+        t: &Tuple,
+        guard: &Guard,
+    ) -> Result<bool, ExecError> {
+        let removed = slot
+            .state
+            .remove(rel, t)
+            .expect("relation index was validated by slot_of");
+        if removed {
+            match self.rebuilt(si, &slot.state, guard) {
+                Ok(maint) => slot.maint = maint,
+                Err(e) => {
+                    slot.state
+                        .insert(rel, t.clone())
+                        .expect("tuple was just removed from relation rel");
+                    return Err(e);
+                }
+            }
+        }
+        Ok(removed)
+    }
+
+    /// A fresh [`Maint`] for slot `si` from substate `state`: Algorithm 1
+    /// on an IR block (an inconsistent substate poisons the slot), the
+    /// whole-state chase otherwise (emitting into the hub's tracer).
+    fn rebuilt(&self, si: usize, state: &DatabaseState, guard: &Guard) -> Result<Maint, ExecError> {
+        match self.engine.ir() {
+            Some(ir) if !self.shared.whole => block_maint(block_rep(ir, si, state, guard)),
+            _ => {
+                let tracer = self.engine.observability().tracer.clone();
+                Ok(Maint::Chase(Box::new(self.engine.chase_slot(None, state, guard, tracer)?)))
+            }
+        }
+    }
+
+    /// Why inserting `t` into relation `rel` of slot `si` is rejected:
+    /// chases the slot's substate plus `t` into `trace` and reads the
+    /// violation back. `None` when the chase finds none.
+    fn rejection_chase(
+        &self,
+        si: usize,
+        state: &DatabaseState,
+        rel: usize,
+        t: &Tuple,
+        trace: TraceHandle,
+    ) -> Option<RejectionExplanation> {
+        let block = (!self.shared.whole).then_some(si);
+        let unl = Guard::unlimited();
+        let mut chase = self.engine.chase_slot(block, state, &unl, trace).ok()?;
+        chase.push_tuple(t, Some(rel)).ok()?;
+        let _ = chase.run(&unl);
+        chase.explain_rejection()
+    }
+
     /// The slot half of the batch pipeline: applies a framed op group as
     /// one unit across every block it touches. See
     /// [`WriteHandle::apply_batch`] for the contract; returns the per-op
     /// verdicts (in op order) and the number of blocks touched.
     ///
-    /// Unlike the single-op paths, the batch logs **after** chase
-    /// verdicts are known and **before** any substate mutation. A
-    /// pure-insert group earns its verdicts by chasing the slot's live
-    /// tableau in place — the tableau is *derived* state, so mutating it
-    /// before the log call is safe as long as a failure rebuilds it from
-    /// the (untouched) substate, which is exactly the batch's **single
-    /// rollback point**. Groups containing deletes, and pure-insert
-    /// groups whose combined run turns inconsistent, instead speculate
-    /// on clones of the slot's tableau and substate and swap them in
-    /// after the log call. Either way a typed error before the log call
-    /// leaves both the log and every substate untouched, so log ==
-    /// memory holds without any abort markers (DESIGN.md §16).
+    /// Unlike the single-op paths, the batch logs **after** verdicts are
+    /// known. Each slot runs its share of the ops serially through the
+    /// same [`slot_insert`](Hub::slot_insert) / [`slot_delete`](Hub::slot_delete)
+    /// the per-op path uses — Algorithm 2 decides each insert exactly, so
+    /// serial application *is* the batch semantics — and records every
+    /// substate change in an undo list. A typed error at or before the
+    /// log call is the batch's **single rollback point**: the undo list
+    /// is replayed in reverse and the touched slots are rebuilt from
+    /// their restored substates, so nothing is logged and nothing is
+    /// applied and log == memory holds without abort markers
+    /// (DESIGN.md §16).
     pub(crate) fn batch_op(
         &self,
         ops: &[BatchOp],
@@ -554,8 +682,8 @@ impl<'e> Hub<'e> {
         // Every involved block lock, acquired in index order — per-op
         // writers hold at most one slot at a time, so ordered
         // acquisition cannot deadlock against them, and holding all of
-        // them across log → apply keeps per-block WAL order equal to
-        // apply order exactly as in the single-op paths.
+        // them across maintain → log → unlock keeps per-block WAL order
+        // equal to apply order exactly as in the single-op paths.
         let mut guards: Vec<MutexGuard<'_, Slot>> = by_slot
             .keys()
             .map(|&si| lock_slot(&self.shared.slots[si]))
@@ -563,28 +691,35 @@ impl<'e> Hub<'e> {
         timeline::stamp_current(Phase::LaneAcquire);
         let lane_t0 = Instant::now();
         for slot in &guards {
-            if let Some(f) = slot.chase.failure() {
-                return Err(f.clone().into());
+            if let Some(e) = slot.maint.failure() {
+                return Err(e);
             }
         }
-        // Phase 1 — earn every verdict. No substate is mutated; in-place
-        // slots mutate their (derived) tableau and are rebuilt below if
-        // any later slot or the log call fails.
+        // Phase 1 — serial per-slot maintenance, recording every applied
+        // op as (slot position, op index) for the rollback.
         let mut verdicts = vec![false; ops.len()];
-        let mut plans: Vec<SlotPlan> = Vec::with_capacity(guards.len());
-        let mut last_why: Option<RejectionExplanation> = None;
+        let mut undo: Vec<(usize, usize)> = Vec::new();
+        let mut rejected: Option<Rejected> = None;
         let mut failure: Option<ExecError> = None;
-        for (slot, (&si, idxs)) in guards.iter_mut().zip(&by_slot) {
-            match self.batch_slot_verdicts(si, slot, ops, idxs, &mut verdicts, guard) {
-                Ok((plan, why)) => {
-                    if why.is_some() {
-                        last_why = why;
+        'slots: for (g, (slot, (&si, idxs))) in guards.iter_mut().zip(&by_slot).enumerate() {
+            for &k in idxs {
+                let r = match &ops[k] {
+                    BatchOp::Insert { rel, t } => self.slot_insert(si, slot, *rel, t, guard),
+                    BatchOp::Delete { rel, t } => self.slot_delete(si, slot, *rel, t, guard),
+                };
+                match (r, &ops[k]) {
+                    (Ok(true), _) => {
+                        verdicts[k] = true;
+                        undo.push((g, k));
                     }
-                    plans.push(plan);
-                }
-                Err(e) => {
-                    failure = Some(e);
-                    break;
+                    (Ok(false), BatchOp::Insert { rel, t }) => {
+                        rejected = Some((si, *rel, t.clone()));
+                    }
+                    (Ok(false), BatchOp::Delete { .. }) => {}
+                    (Err(e), _) => {
+                        failure = Some(e);
+                        break 'slots;
+                    }
                 }
             }
         }
@@ -599,42 +734,35 @@ impl<'e> Hub<'e> {
             }
         }
         if let Some(e) = failure {
-            // Single rollback point: clone-based plans just drop;
-            // in-place slots rebuild their tableau from the untouched
+            // Single rollback point: undo the substate changes newest
+            // first, then rebuild each touched slot from its restored
             // substate. Nothing was logged, so log == memory holds.
-            for (slot, (plan, (&si, _))) in guards.iter_mut().zip(plans.iter().zip(&by_slot)) {
-                if matches!(plan, SlotPlan::InPlace) {
-                    slot.chase = self
-                        .rebuilt_chase(si, &slot.state, &Guard::unlimited())
+            let mut touched = vec![false; guards.len()];
+            for &(g, k) in undo.iter().rev() {
+                touched[g] = true;
+                let slot = &mut guards[g];
+                match &ops[k] {
+                    BatchOp::Insert { rel, t } => {
+                        slot.state.remove(*rel, t).expect("relation index was validated");
+                    }
+                    BatchOp::Delete { rel, t } => {
+                        slot.state
+                            .insert(*rel, t.clone())
+                            .expect("tuple was removed from relation rel");
+                    }
+                }
+            }
+            for (g, (&si, _)) in by_slot.iter().enumerate() {
+                if touched[g] {
+                    guards[g].maint = self
+                        .rebuilt(si, &guards[g].state, &Guard::unlimited())
                         .expect("rebuilding the consistent pre-batch substate cannot fail");
                 }
             }
             return Err(e);
         }
-        // Phase 3 — apply: in-place slots catch their substate up to the
-        // already-chased tableau; clone-based slots swap the speculated
-        // tableau and substate in.
-        let applied = verdicts.iter().filter(|&&v| v).count() as u64;
-        for (slot, (plan, (_, idxs))) in guards.iter_mut().zip(plans.into_iter().zip(&by_slot)) {
-            match plan {
-                SlotPlan::InPlace => {
-                    for &k in idxs {
-                        let BatchOp::Insert { rel, t } = &ops[k] else {
-                            unreachable!("in-place plans are pure-insert")
-                        };
-                        slot.state
-                            .insert(*rel, t.clone())
-                            .expect("tuple was chased against scheme rel, so it matches");
-                    }
-                }
-                SlotPlan::Swap(pair) => {
-                    let (chase, state) = *pair;
-                    slot.chase = chase;
-                    slot.state = state;
-                }
-            }
-        }
         timeline::stamp_current(Phase::Apply);
+        let applied = undo.len() as u64;
         if applied > 0 {
             self.shared.stale.store(true, Ordering::Release);
         }
@@ -647,138 +775,18 @@ impl<'e> Hub<'e> {
             hm.epoch_lag.add(applied);
         }
         drop(guards);
-        if last_why.is_some() {
-            *self
-                .shared
-                .last_rejection
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner) = last_why;
+        if let Some(r) = rejected {
+            self.record_rejection(r);
         }
         Ok((verdicts, by_slot.len()))
     }
 
-    /// Earns one slot's share of a batch's verdicts, filling `verdicts`
-    /// at the ops' original batch positions, and returns how phase 3
-    /// should commit the slot plus the provenance of the last rejected
-    /// insert (if any).
-    ///
-    /// Pure-insert groups take the fast path — the rows seed and sweep
-    /// the slot's live tableau **in place** (no million-row tableau or
-    /// substate clone per group; Church–Rosser makes the combined
-    /// tableau identical to serial application, and on a consistent
-    /// outcome monotonicity makes every serial prefix verdict
-    /// *accepted*), leaving the substate to catch up after the log
-    /// call. A combined-run inconsistency (which cannot attribute a
-    /// culprit op) rolls the tableau back — one rebuild from the
-    /// untouched substate — and falls back to clone-based per-op replay
-    /// so each op re-earns exactly its serial verdict; any other error
-    /// rolls back the same way and aborts the group. Groups containing
-    /// deletes replay serially on clones too, deferring the
-    /// delete-triggered rebuild until the next insert (or the end), so
-    /// a run of deletes costs one rebuild instead of one per op.
-    fn batch_slot_verdicts(
-        &self,
-        si: usize,
-        slot: &mut Slot,
-        ops: &[BatchOp],
-        idxs: &[usize],
-        verdicts: &mut [bool],
-        guard: &Guard,
-    ) -> Result<(SlotPlan, Option<RejectionExplanation>), ExecError> {
-        let all_inserts = idxs
-            .iter()
-            .all(|&k| matches!(ops[k], BatchOp::Insert { .. }));
-        if all_inserts {
-            let group = idxs.iter().map(|&k| match &ops[k] {
-                BatchOp::Insert { rel, t } => (t, Some(*rel)),
-                BatchOp::Delete { .. } => unreachable!("all_inserts was checked"),
-            });
-            match slot.chase.insert_batch(group, guard) {
-                Ok(_) => {
-                    for &k in idxs {
-                        verdicts[k] = true;
-                    }
-                    return Ok((SlotPlan::InPlace, None));
-                }
-                // The group is inconsistent *as a whole* (the tableau is
-                // now poisoned): roll it back, then fall through to
-                // per-op replay so every op re-earns its serial verdict.
-                Err(ExecError::Inconsistent { .. }) => {
-                    slot.chase = self
-                        .rebuilt_chase(si, &slot.state, &Guard::unlimited())
-                        .expect("rebuilding the consistent pre-batch substate cannot fail");
-                }
-                // Guard or capacity trip mid-sweep: the tableau holds
-                // speculative rows, so restore it before aborting.
-                Err(e) => {
-                    slot.chase = self
-                        .rebuilt_chase(si, &slot.state, &Guard::unlimited())
-                        .expect("rebuilding the consistent pre-batch substate cannot fail");
-                    return Err(e);
-                }
-            }
-        }
-        let mut state = slot.state.clone();
-        let mut chase = slot.chase.clone();
-        // `true` while `chase` trails `state` by one or more deletes.
-        let mut stale = false;
-        let mut why = None;
-        for &k in idxs {
-            match &ops[k] {
-                BatchOp::Insert { rel, t } => {
-                    if stale {
-                        // The deferred delete rebuild — charged against
-                        // the batch guard like the per-op delete path.
-                        chase = self.rebuilt_chase(si, &state, guard)?;
-                        stale = false;
-                    }
-                    let pushed = chase.push_tuple(t, Some(*rel)).map(|_| ());
-                    match pushed.and_then(|()| chase.run(guard).map(|_| ())) {
-                        Ok(()) => {
-                            state
-                                .insert(*rel, t.clone())
-                                .expect("tuple was chased against scheme rel, so it matches");
-                            verdicts[k] = true;
-                        }
-                        Err(ExecError::Inconsistent { .. }) => {
-                            why = chase.explain_rejection().or(why);
-                            chase = self
-                                .rebuilt_chase(si, &state, &Guard::unlimited())
-                                .expect("rebuilding a consistent prefix state cannot fail");
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-                BatchOp::Delete { rel, t } => {
-                    let removed = state
-                        .remove(*rel, t)
-                        .expect("relation index was validated by slot_of");
-                    verdicts[k] = removed;
-                    stale |= removed;
-                }
-            }
-        }
-        if stale {
-            chase = self.rebuilt_chase(si, &state, guard)?;
-        }
-        Ok((SlotPlan::Swap(Box::new((chase, state))), why))
-    }
-
-    /// A fresh chase of slot `si` from substate `state` (the rollback /
-    /// rebuild path), emitting into the hub's live tracer.
-    fn rebuilt_chase(
-        &self,
-        si: usize,
-        state: &DatabaseState,
-        guard: &Guard,
-    ) -> Result<IncrementalChase, ExecError> {
-        let tracer = self.engine.observability().tracer.clone();
-        if self.shared.whole {
-            self.engine.chase_whole(state, guard)
-        } else {
-            let ir = self.engine.ir().expect("block slots imply an IR partition");
-            self.engine.chase_block(ir, si, state, guard, tracer)
-        }
+    fn record_rejection(&self, rejected: Rejected) {
+        *self
+            .shared
+            .last_rejection
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(rejected);
     }
 
     /// After a completed op: asks the sink whether a snapshot is due and,
@@ -831,17 +839,15 @@ impl<'e> WriteHandle<'e> {
     /// Inserts `t` into relation `i` through the block's serialized
     /// write lane.
     ///
-    /// `Ok(true)`: accepted and applied (incrementally — only the rows
-    /// the new tuple touches are re-chased). `Ok(false)`: rejected, the
-    /// state is unchanged (the block's tableau is rebuilt from its
-    /// untouched substate; the rebuild replays a chase already known to
-    /// succeed, so it is not charged) and the provenance is kept for
+    /// `Ok(true)`: accepted and applied — on an IR block Algorithm 2
+    /// decided it with a few key lookups into the block's representative
+    /// instance, charged against `guard`. `Ok(false)`: rejected, the
+    /// state is unchanged and the insert is kept for
     /// [`explain_rejection`](WriteHandle::explain_rejection).
     /// `Err(Inconsistent)`: the block was already poisoned — maintenance
     /// needs a consistent base. Other `Err`s are guard trips; the insert
-    /// then did *not* happen (the speculative row is rolled back and a
-    /// durable sink gets an abort marker), so the caller may retry with
-    /// a fresh guard.
+    /// then did *not* happen (the rep is untouched and a durable sink
+    /// gets an abort marker), so the caller may retry with a fresh guard.
     pub fn insert(&self, i: usize, t: Tuple, guard: &Guard) -> Result<bool, ExecError> {
         self.insert_timed(i, t, guard, &Arc::new(OpTimeline::new()))
     }
@@ -853,8 +859,8 @@ impl<'e> WriteHandle<'e> {
     /// commit) stamps its phase, then folds the completed timeline into
     /// the per-phase histograms.
     ///
-    /// The target block's lock is held across *log → chase → apply*, so
-    /// per-block WAL order equals apply order.
+    /// The target block's lock is held across *log → maintain → apply*,
+    /// so per-block WAL order equals apply order.
     pub fn insert_timed(
         &self,
         i: usize,
@@ -869,8 +875,8 @@ impl<'e> WriteHandle<'e> {
         let mut slot = lock_slot(&self.shared.slots[si]);
         timeline::stamp_current(Phase::LaneAcquire);
         let lane_t0 = Instant::now();
-        if let Some(f) = slot.chase.failure() {
-            return Err(f.clone().into());
+        if let Some(e) = slot.maint.failure() {
+            return Err(e);
         }
         // Write-ahead: commit the intent record before memory changes,
         // still under the block lock.
@@ -880,46 +886,23 @@ impl<'e> WriteHandle<'e> {
         // Durable sinks stamp wal-append where the record is queued;
         // this fallback covers in-memory sinks (first write wins).
         timeline::stamp_current(Phase::WalAppend);
-        let mut why = None;
-        // A capacity trip from the push takes the same rollback branch
-        // as a guard trip mid-chase: rebuild + abort marker.
-        let pushed = slot.chase.push_tuple(&t, Some(i)).map(|_| ());
-        let outcome = match pushed.and_then(|()| slot.chase.run(guard).map(|_| ())) {
-            Ok(_) => {
-                slot.state
-                    .insert(i, t)
-                    .expect("tuple was chased against scheme i, so it matches scheme i");
+        let outcome = hub.slot_insert(si, &mut slot, i, &t, guard);
+        match &outcome {
+            Ok(accepted) => {
+                // A rejection still did its apply work: Algorithm 2 ran.
                 timeline::stamp_current(Phase::Apply);
-                self.shared.stale.store(true, Ordering::Release);
-                Ok(true)
+                if *accepted {
+                    self.shared.stale.store(true, Ordering::Release);
+                }
             }
-            Err(ExecError::Inconsistent { .. }) => {
-                // Capture provenance before the rebuild wipes the chase
-                // that found the violation.
-                why = slot.chase.explain_rejection();
-                slot.chase = hub
-                    .rebuilt_chase(si, &slot.state, &Guard::unlimited())
-                    .expect("rebuilding a previously consistent block cannot fail");
-                // A rejection still did its apply work: the chase ran
-                // and the block's tableau was restored.
-                timeline::stamp_current(Phase::Apply);
-                Ok(false)
-            }
-            Err(e) => {
-                // Guard trip mid-chase: roll the speculative row back by
-                // rebuilding from the unchanged base substate (a chase
-                // already known to succeed — not charged).
-                slot.chase = hub
-                    .rebuilt_chase(si, &slot.state, &Guard::unlimited())
-                    .expect("rebuilding a previously consistent block cannot fail");
-                // Memory is rolled back; mark the logged record aborted
-                // so the log agrees with memory again.
+            // Memory is unchanged; mark the logged record aborted so the
+            // log agrees with memory again.
+            Err(_) => {
                 if let Some(d) = &self.shared.sink {
                     d.log_abort()?;
                 }
-                Err(e)
             }
-        };
+        }
         if let Some(hm) = &self.shared.metrics {
             hm.lane_ops[si].inc();
             hm.lane_busy_us[si].add(lane_t0.elapsed().as_micros() as u64);
@@ -928,14 +911,10 @@ impl<'e> WriteHandle<'e> {
             }
         }
         drop(slot);
-        if why.is_some() {
-            *self
-                .shared
-                .last_rejection
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner) = why;
-        }
         let accepted = outcome?;
+        if !accepted {
+            hub.record_rejection((si, i, t));
+        }
         hub.sink_op_finished()?;
         // Publish = the visibility handoff: the op's effect is marked
         // for the next epoch cut and any due snapshot has been taken.
@@ -959,12 +938,12 @@ impl<'e> WriteHandle<'e> {
     }
 
     /// Removes `t` from relation `i`. Deletion never breaks consistency
-    /// but can *restore* it; the chase has no incremental delete, so the
-    /// block's tableau is rebuilt from its substate (charged against
-    /// `guard`). `Ok(false)` when the tuple was not present. On `Err` (a
-    /// guard trip mid-rebuild) the delete did *not* happen: the tuple is
-    /// restored, a durable sink gets an abort marker, and the caller may
-    /// retry with a fresh guard.
+    /// but can *restore* it, and it can unmerge representative-instance
+    /// tuples, so the block's rep is rebuilt from its substate by
+    /// Algorithm 1 (charged against `guard`). `Ok(false)` when the tuple
+    /// was not present. On `Err` (a guard trip mid-rebuild) the delete
+    /// did *not* happen: the tuple is restored, a durable sink gets an
+    /// abort marker, and the caller may retry with a fresh guard.
     pub fn delete(&self, i: usize, t: &Tuple, guard: &Guard) -> Result<bool, ExecError> {
         self.delete_timed(i, t, guard, &Arc::new(OpTimeline::new()))
     }
@@ -989,27 +968,16 @@ impl<'e> WriteHandle<'e> {
             d.log_op(DurableOp::Delete { rel: i, t })?;
         }
         timeline::stamp_current(Phase::WalAppend);
-        let removed = slot
-            .state
-            .remove(i, t)
-            .expect("relation index was validated by slot_of");
-        if removed {
-            match hub.rebuilt_chase(si, &slot.state, guard) {
-                Ok(chase) => slot.chase = chase,
-                Err(e) => {
-                    // The rebuild never replaced the tableau, so the old
-                    // chase is still answering; put the tuple back so the
-                    // base substate agrees with it — delete is
-                    // all-or-nothing.
-                    slot.state
-                        .insert(i, t.clone())
-                        .expect("tuple was just removed from relation i");
-                    if let Some(d) = &self.shared.sink {
-                        d.log_abort()?;
-                    }
-                    return Err(e);
+        let removed = match hub.slot_delete(si, &mut slot, i, t, guard) {
+            Ok(removed) => removed,
+            Err(e) => {
+                if let Some(d) = &self.shared.sink {
+                    d.log_abort()?;
                 }
+                return Err(e);
             }
+        };
+        if removed {
             self.shared.stale.store(true, Ordering::Release);
         }
         timeline::stamp_current(Phase::Apply);
@@ -1037,8 +1005,7 @@ impl<'e> WriteHandle<'e> {
     }
 
     /// Applies a framed group of ops as **one unit**: one write-lock
-    /// acquisition and one dirty-row chase seeding per involved block,
-    /// one WAL batch (one group-commit barrier, one fsync), one
+    /// acquisition per involved block, one WAL batch (one group-commit barrier, one fsync), one
     /// aggregated [`TraceEvent::BatchApplied`] event. Returns the per-op
     /// verdicts in op order — observationally identical to applying the
     /// ops one by one through [`insert`](WriteHandle::insert) /
@@ -1047,9 +1014,10 @@ impl<'e> WriteHandle<'e> {
     ///
     /// On a typed error (a block already poisoned, a guard trip or a
     /// capacity trip mid-batch, a storage failure) the **whole group** is
-    /// rolled back: no op of the batch is applied and nothing is logged —
-    /// the batch's single rollback point sits before its WAL append, so
-    /// log == memory holds without abort markers (DESIGN.md §16).
+    /// rolled back through its undo list: no op of the batch is applied
+    /// and nothing is logged — the batch's single rollback point sits at
+    /// its WAL append, so log == memory holds without abort markers
+    /// (DESIGN.md §16).
     pub fn apply_batch(&self, ops: &[BatchOp], guard: &Guard) -> Result<Vec<bool>, ExecError> {
         self.apply_batch_timed(ops, guard, &Arc::new(OpTimeline::new()))
     }
@@ -1141,7 +1109,7 @@ impl<'e> ReadView<'e> {
     /// The X-total projection `[x]` of this epoch. `Ok(None)` when the
     /// epoch is inconsistent. On IR schemes this is chase-free (the
     /// cached Theorem 4.1 expression over the snapshot state); non-IR
-    /// schemes chase the snapshot — never the live tableaux, so the
+    /// schemes chase the snapshot — never the live slots, so the
     /// answer is stable no matter what writers do meanwhile.
     pub fn total_projection(
         &self,
@@ -1152,55 +1120,28 @@ impl<'e> ReadView<'e> {
         if !self.snap.consistent {
             return Ok(None);
         }
-        let (result, method) = if self.engine.ir().is_some_and(|ir| !ir.is_empty()) {
-            project_ir(self.engine, &self.snap.state, x, guard)?
-        } else {
-            (
-                idr_chase::total_projection(
-                    self.engine.scheme(),
-                    &self.snap.state,
-                    self.engine.key_deps().full(),
-                    x,
-                    guard,
-                ),
-                "chase",
-            )
+        // The cached Theorem 4.1 expression when one covers `x` (IR
+        // schemes only), else one chase of the snapshot state.
+        let state = &self.snap.state;
+        let (result, method) = match self.engine.total_projection_expr(x, guard)? {
+            Some(expr) => {
+                let rel = expr
+                    .eval(self.engine.scheme(), state)
+                    .expect("cached projection expressions are well-formed");
+                (Ok(Some(rel.sorted_tuples())), "expr")
+            }
+            None => {
+                let kd = self.engine.key_deps().full();
+                let chased = idr_chase::total_projection(self.engine.scheme(), state, kd, x, guard);
+                (chased, "chase")
+            }
         };
         emit_query(self.engine, x, method, &result, t0, guard);
         result
     }
 }
 
-/// The IR query path shared by one-shot and snapshot reads: the
-/// cached Theorem 4.1 expression over `state`, falling back to one
-/// whole-state chase when no bounded expression covers `x`.
 type ProjectionResult = Result<Option<Vec<Tuple>>, ExecError>;
-
-fn project_ir(
-    engine: &Engine,
-    state: &DatabaseState,
-    x: AttrSet,
-    guard: &Guard,
-) -> Result<(ProjectionResult, &'static str), ExecError> {
-    Ok(match engine.total_projection_expr(x, guard)? {
-        Some(expr) => {
-            let rel = expr
-                .eval(engine.scheme(), state)
-                .expect("cached projection expressions are well-formed");
-            (Ok(Some(rel.sorted_tuples())), "expr")
-        }
-        None => (
-            idr_chase::total_projection(
-                engine.scheme(),
-                state,
-                engine.key_deps().full(),
-                x,
-                guard,
-            ),
-            "chase",
-        ),
-    })
-}
 
 /// The `query_answered` event + metrics every query path shares.
 fn emit_query(
@@ -1256,7 +1197,7 @@ fn publish_snapshot(engine: &Engine, shared: &HubShared) -> Arc<Snapshot> {
         let mut consistent = true;
         for s in &shared.slots {
             let slot = lock_slot(s);
-            consistent &= slot.chase.failure().is_none();
+            consistent &= slot.maint.failure().is_none();
             for (i, t) in slot.state.iter_all() {
                 state
                     .insert(i, t.clone())
@@ -1395,8 +1336,8 @@ mod tests {
 
     #[test]
     fn guard_trip_rolls_back_and_aborts_nothing_visible() {
-        // star(3) with a shared hub value: any rebuild fires fd rules, so
-        // max_chase_steps(0) trips mid-insert.
+        // star(3) with a shared hub value: Algorithm 2's first key
+        // lookup trips a zero-lookup budget mid-insert.
         let db = idr_workload::generators::star_scheme(3);
         let mut sym = SymbolTable::new();
         let state = state_of(
@@ -1418,14 +1359,14 @@ mod tests {
             (u.attr_of("K"), sym.intern("k")),
             (u.attr_of("A2"), sym.intern("x2b")),
         ]);
-        let tight = Guard::new(Budget::unlimited().with_max_chase_steps(0));
+        let tight = Guard::new(Budget::unlimited().with_max_lookups(0));
         let err = w.insert(2, t.clone(), &tight).unwrap_err();
         assert!(matches!(err, ExecError::BudgetExceeded { .. }), "{err:?}");
         let v = hub.read_view();
         assert!(!v.state().relation(2).contains(&t));
         assert!(v.is_consistent());
         let x = AttrSet::from_iter([u.attr_of("K"), u.attr_of("A2")]);
-        assert!(hub.explain(x, &t).is_none(), "speculative row leaked");
+        assert!(hub.explain(x, &t).is_none(), "speculative merge leaked");
     }
 
     #[test]
@@ -1498,6 +1439,15 @@ mod tests {
             all
         };
         assert_eq!(dump(&va), dump(&vb));
+        // The rejected (a, bX) was applied later in the same batch, so
+        // the on-demand explanation finds nothing left to explain...
+        assert!(hub_a.explain_rejection().is_none());
+        // ...while a rejection that stands is explained.
+        let clash = vec![BatchOp::Insert {
+            rel: 0,
+            t: pair("A", "a", "B", "bY", &mut sym),
+        }];
+        assert_eq!(hub_a.write_handle().apply_batch(&clash, &g).unwrap(), vec![false]);
         assert!(hub_a.explain_rejection().is_some(), "rejection provenance kept");
     }
 
@@ -1523,17 +1473,32 @@ mod tests {
             (u.attr_of("K"), sym.intern("k")),
             (u.attr_of("A2"), sym.intern("x2")),
         ]);
-        let ops = vec![BatchOp::Insert { rel: 2, t: t.clone() }];
-        let tight = Guard::new(Budget::unlimited().with_max_chase_steps(0));
+        let gone = Tuple::from_pairs([
+            (u.attr_of("K"), sym.intern("k")),
+            (u.attr_of("A0"), sym.intern("x0")),
+        ]);
+        // The insert costs one lookup and is applied; the delete's rep
+        // rebuild then trips the two-lookup budget, so the undo list has
+        // to take the applied insert back out.
+        let ops = vec![
+            BatchOp::Insert { rel: 2, t: t.clone() },
+            BatchOp::Delete { rel: 0, t: gone.clone() },
+        ];
+        let tight = Guard::new(Budget::unlimited().with_max_lookups(2));
         let err = w.apply_batch(&ops, &tight).unwrap_err();
         assert!(matches!(err, ExecError::BudgetExceeded { .. }), "{err:?}");
         let v = hub.read_view();
         assert!(v.is_consistent());
         assert!(!v.state().relation(2).contains(&t), "speculative op leaked");
+        assert!(v.state().relation(0).contains(&gone), "rolled-back delete lost");
+        let x = AttrSet::from_iter([u.attr_of("K"), u.attr_of("A2")]);
+        assert!(hub.explain(x, &t).is_none(), "speculative merge leaked");
         // The hub is fully usable afterwards: the same batch under a
         // real guard applies.
-        assert_eq!(w.apply_batch(&ops, &g).unwrap(), vec![true]);
-        assert!(hub.read_view().state().relation(2).contains(&t));
+        assert_eq!(w.apply_batch(&ops, &g).unwrap(), vec![true, true]);
+        let v = hub.read_view();
+        assert!(v.state().relation(2).contains(&t));
+        assert!(!v.state().relation(0).contains(&gone));
     }
 
     #[test]
@@ -1562,8 +1527,8 @@ mod tests {
         let v = hub.read_view();
         assert!(v.is_consistent());
         // [AC] is derivable through the chase even with no AC relation —
-        // and the snapshot path, the one-shot engine path (the live
-        // whole-state tableau) and the reference chase must all agree.
+        // and the snapshot path, the one-shot engine path and the
+        // reference chase must all agree.
         let x = db.universe().set_of("AC");
         let via_view = v.total_projection(x, &g).unwrap().unwrap();
         assert_eq!(via_view.len(), 1);

@@ -309,7 +309,7 @@ fn rep_based_projection_matches_expression_and_chase() {
         let attrs: Vec<_> = db.universe().iter().collect();
         targets.push(AttrSet::from_iter([attrs[0], attrs[attrs.len() - 1]]));
         for x in targets {
-            let via_rep = m.total_projection(&kd, x, &g()).unwrap();
+            let via_rep = m.total_projection(x, &g()).unwrap();
             let via_expr = ir_total_projection(&db, &kd, &ir, &applied, x, &g())
                 .unwrap()
                 .sorted_tuples();

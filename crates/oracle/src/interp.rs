@@ -3,7 +3,8 @@
 //! Every case runs against:
 //!
 //! 1. **Hub (parallel)** — the production path: block-parallel
-//!    evaluation, incremental inserts through a [`WriteHandle`], cached
+//!    evaluation, inserts through a [`WriteHandle`] (Algorithm 2 on each
+//!    IR block's representative instance), cached
 //!    Theorem 4.1 expressions, snapshot queries through a `ReadView`.
 //! 2. **Hub (serial)** — the same engine with parallelism off;
 //!    must be *indistinguishable* from (1), including error classes.
@@ -15,13 +16,14 @@
 //! 4. **Theorem 4.1 expressions vs. chase answers** — on IR schemes the
 //!    hubs answer queries through cached expressions over the base
 //!    state while oracle (3) chases; their agreement *is* the paper's
-//!    boundedness claim. Explain probes cross-check the trace class: a
-//!    tuple is in the answer iff some chased tableau row witnesses it.
+//!    boundedness claim. Explain probes cross-check the witness class: a
+//!    tuple is in the answer iff some live block rep (or the whole-state
+//!    tableau) witnesses it.
 //!
 //! After any `Err` the interpreter additionally asserts the post-fault
 //! invariants: the base state equals the mirror (failed ops are atomic)
 //! and the witness probe still matches answer membership (no speculative
-//! tableau rows keep answering).
+//! rep merge or tableau row keeps answering).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -111,7 +113,7 @@ fn class_of<T: std::fmt::Debug>(r: &Result<T, ExecError>) -> String {
     }
 }
 
-fn naive_consistent(db: &DatabaseScheme, kd: &KeyDeps, state: &DatabaseState) -> bool {
+pub(crate) fn naive_consistent(db: &DatabaseScheme, kd: &KeyDeps, state: &DatabaseState) -> bool {
     idr_chase::is_consistent(db, state, kd.full(), &Guard::unlimited())
         .expect("unlimited naive chase cannot trip")
 }
@@ -126,9 +128,16 @@ fn naive_projection(
         .expect("unlimited naive chase cannot trip")
 }
 
-/// Budget allowing `steps` chase steps and nothing-else-limited.
+/// Budget allowing `steps` chase steps and `steps` lookups, nothing
+/// else limited: IR block writes charge lookups (Algorithms 1 and 2),
+/// the whole-state fallback and reference chases charge chase steps, so
+/// capping both meters trips either path at the same small boundary.
 fn step_guard(steps: u64) -> Guard {
-    Guard::new(Budget::unlimited().with_max_chase_steps(steps))
+    Guard::new(
+        Budget::unlimited()
+            .with_max_chase_steps(steps)
+            .with_max_lookups(steps),
+    )
 }
 
 /// Runs one case against all four oracles in lockstep.
@@ -283,7 +292,7 @@ fn apply_insert(
         }
         Err(_) => {
             // Failed inserts must be atomic; the explain-probe invariant
-            // additionally pins the tableau to the base state.
+            // additionally pins the live reps to the base state.
             probe_after_err((step, op), sp, "parallel", t)?;
             probe_after_err((step, op), ss, "serial", t)?;
         }
@@ -329,7 +338,7 @@ fn apply_delete(
         }
         Err(_) => {
             // Atomicity is asserted by check_sync (state == mirror); the
-            // probe pins the tableau as well.
+            // probe pins the live reps as well.
             probe_after_err((step, op), sp, "parallel", t)?;
             probe_after_err((step, op), ss, "serial", t)?;
         }
@@ -337,10 +346,11 @@ fn apply_delete(
     Ok(())
 }
 
-/// After a failed insert/delete: a tuple is witnessed by the chased
-/// tableau iff it is in the answer of its own-attribute projection. A
-/// speculative row left behind by a non-atomic op breaks this in one
-/// direction; a dropped base tuple breaks it in the other.
+/// After a failed insert/delete: a tuple is witnessed by the live reps
+/// (or the whole-state tableau) iff it is in the answer of its
+/// own-attribute projection. A speculative merge left behind by a
+/// non-atomic op breaks this in one direction; a dropped base tuple
+/// breaks it in the other.
 fn probe_after_err(
     (step, op): (Option<usize>, Option<&str>),
     s: &Hub<'_>,
@@ -362,7 +372,7 @@ fn probe_after_err(
             op,
             "probe",
             format!(
-                "{label} hub after Err: answer membership {member} but tableau witness {witnessed}"
+                "{label} hub after Err: answer membership {member} but live witness {witnessed}"
             ),
         ));
     }

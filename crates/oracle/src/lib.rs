@@ -50,8 +50,9 @@
 //! [`batch::batch_fuzz`] cuts generated op streams into framed groups,
 //! applies them through `WriteHandle::apply_batch` over a real durable
 //! store, and diffs per-op verdicts, state, verdict and probe answers
-//! against per-op serial application — then recovers the data dir and
-//! diffs again (`idr fuzz --batch`).
+//! against per-op serial application and every insert verdict against
+//! the reference chase — then recovers the data dir and diffs again
+//! (`idr fuzz --batch`).
 
 #![warn(missing_docs)]
 pub mod batch;

@@ -61,28 +61,32 @@ pub enum Op {
         /// The projection attributes.
         x: AttrSet,
     },
-    /// Insert under a chase-step budget — exercises guard trips at the
-    /// step boundary (the sessions must stay atomic).
+    /// Insert under a step budget — exercises guard trips at the step
+    /// boundary (the hubs must stay atomic). The budget caps both
+    /// meters: lookups (Algorithm 2 on IR blocks) and chase steps (the
+    /// whole-state chase of a non-IR scheme).
     BudgetInsert {
-        /// `max_chase_steps` for this op's guard.
+        /// `max_chase_steps` and `max_lookups` for this op's guard.
         steps: u64,
         /// Target relation index.
         rel: usize,
         /// The tuple.
         t: Tuple,
     },
-    /// Delete under a chase-step budget.
+    /// Delete under a step budget capping both meters, as for
+    /// [`Op::BudgetInsert`] (an IR block's rebuild charges lookups).
     BudgetDelete {
-        /// `max_chase_steps` for this op's guard.
+        /// `max_chase_steps` and `max_lookups` for this op's guard.
         steps: u64,
         /// Target relation index.
         rel: usize,
         /// The tuple.
         t: Tuple,
     },
-    /// Query under a chase-step budget.
+    /// Query under a step budget capping both meters, as for
+    /// [`Op::BudgetInsert`].
     BudgetQuery {
-        /// `max_chase_steps` for this op's guard.
+        /// `max_chase_steps` and `max_lookups` for this op's guard.
         steps: u64,
         /// The projection attributes.
         x: AttrSet,

@@ -336,34 +336,15 @@ impl Guard {
         }
     }
 
-    /// A point-in-time copy of all three work counters — the one call
+    /// A point-in-time copy of all three work counters — the one read
     /// for reporting surfaces (metrics gauges, CLI summaries, bench
-    /// reports) that would otherwise read the `*_spent()` getters
-    /// separately.
+    /// reports).
     pub fn snapshot(&self) -> GuardSnapshot {
         GuardSnapshot {
             chase_steps: self.chase_steps.load(Ordering::Relaxed),
             lookups: self.lookups.load(Ordering::Relaxed),
             enumeration: self.enumeration.load(Ordering::Relaxed),
         }
-    }
-
-    /// Chase steps spent so far (thin wrapper over
-    /// [`snapshot`](Guard::snapshot)).
-    pub fn chase_steps_spent(&self) -> u64 {
-        self.snapshot().chase_steps
-    }
-
-    /// Lookups spent so far (thin wrapper over
-    /// [`snapshot`](Guard::snapshot)).
-    pub fn lookups_spent(&self) -> u64 {
-        self.snapshot().lookups
-    }
-
-    /// Enumeration units spent so far (thin wrapper over
-    /// [`snapshot`](Guard::snapshot)).
-    pub fn enumeration_spent(&self) -> u64 {
-        self.snapshot().enumeration
     }
 
     /// Checks deadline and cancellation without charging any resource.

@@ -332,6 +332,13 @@ impl FramedConn {
     /// boundary; a cut mid-frame, a deadline, or a corrupt frame is an
     /// error.
     pub fn recv(&mut self) -> Result<Option<WireMsg>, WireError> {
+        self.recv_capped(MAX_WIRE_FRAME)
+    }
+
+    /// [`recv`](FramedConn::recv) under a payload cap of `cap` bytes: a
+    /// header claiming more fails as a typed [`WireError::Frame`] before
+    /// any payload byte is read.
+    fn recv_capped(&mut self, cap: usize) -> Result<Option<WireMsg>, WireError> {
         let mut header = [0u8; WIRE_HEADER_LEN];
         match self.stream.read(&mut header) {
             Ok(0) => return Ok(None),
@@ -342,9 +349,9 @@ impl FramedConn {
         }
         let len = u32::from_le_bytes(header[..4].try_into().unwrap()) as usize;
         let stored_crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
-        if len > MAX_WIRE_FRAME {
+        if len > cap {
             return Err(WireError::Frame {
-                detail: format!("frame length {len} exceeds cap {MAX_WIRE_FRAME}"),
+                detail: format!("frame length {len} exceeds cap {cap}"),
             });
         }
         // The header's length is a claim, not a fact: grow the buffer
@@ -399,10 +406,19 @@ impl FramedConn {
 
 /// Runs the symmetric handshake: sends `mine`, reads the peer's hello,
 /// and validates compatibility. Any disagreement is a typed
-/// [`WireError::Handshake`] naming the field.
+/// [`WireError::Handshake`] naming the field. The peer's first frame is
+/// read under a hello-sized cap, so an unvalidated peer cannot make us
+/// buffer more than the widest hello.
 pub fn handshake(conn: &mut FramedConn, mine: &Hello) -> Result<Hello, WireError> {
     conn.send(&WireMsg::Hello(*mine))?;
-    let theirs = match conn.recv()? {
+    let widest = Hello {
+        version: u32::MAX,
+        origin: usize::MAX,
+        origins: usize::MAX,
+        scheme: u32::MAX,
+    };
+    let cap = WireMsg::Hello(widest).encode_payload().len();
+    let theirs = match conn.recv_capped(cap)? {
         Some(WireMsg::Hello(h)) => h,
         Some(_) => {
             return Err(WireError::Handshake {
@@ -1133,6 +1149,33 @@ mod tests {
             }
             other => panic!("expected a typed mid-payload cut, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn oversized_pre_handshake_frame_is_rejected_before_its_payload() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // A header claiming the largest legal frame and no payload at
+        // all; the peer then waits for us to hang up.
+        let liar = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            let mut bytes = (MAX_WIRE_FRAME as u32).to_le_bytes().to_vec();
+            bytes.extend_from_slice(&0u32.to_le_bytes());
+            stream.write_all(&bytes).unwrap();
+            let mut sink = Vec::new();
+            let _ = stream.read_to_end(&mut sink);
+        });
+        let (stream, _) = listener.accept().unwrap();
+        let mut conn = FramedConn::new(stream, Duration::from_secs(5)).unwrap();
+        // Rejected on the header alone, not after the read deadline.
+        let got = handshake(&mut conn, &Hello::new(0, 2, &db()));
+        drop(conn);
+        liar.join().unwrap();
+        let claim = format!("frame length {MAX_WIRE_FRAME} exceeds cap");
+        assert!(
+            matches!(&got, Err(WireError::Frame { detail }) if detail.contains(&claim)),
+            "{got:?}"
+        );
     }
 
     #[test]

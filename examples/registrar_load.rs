@@ -95,7 +95,7 @@ fn main() {
     let queries = ["TC", "HSC", "CSG", "TR"];
     for q in queries {
         let x = u.set_of(q);
-        let rows = m.total_projection(&kd, x, &g).unwrap();
+        let rows = m.total_projection(x, &g).unwrap();
         println!("  [{q}] → {} rows", rows.len());
     }
     println!("4 total projections answered in {:?}", t0.elapsed());
@@ -116,7 +116,7 @@ fn main() {
     );
     let m_small = IrMaintainer::new(&db, &ir, &small.state, &g).unwrap();
     let x = u.set_of("TC");
-    let fast = m_small.total_projection(&kd, x, &g).unwrap();
+    let fast = m_small.total_projection(x, &g).unwrap();
     let oracle = total_projection(&db, &small.state, kd.full(), x, &g)
         .unwrap()
         .expect("consistent");

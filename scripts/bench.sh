@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Seeded offline smoke benchmark (no criterion, no network): builds the
 # tier-1-safe `bench` package, runs it on the synthetic block-chain
-# families, writes the output JSON (default BENCH_pr7.json, override with
+# families, writes the output JSON (default BENCH_pr9.json, override with
 # the first argument), and asserts:
 #
 #   * the PR 2 headline — the indexed incremental engine beats the naive
@@ -62,7 +62,7 @@ print("OK: incremental engine beats the naive chase on the largest family")
 for fam in doc["families"]:
     m = fam["metrics"]
     assert m["counters"]["session.builds"] >= 1, f"{fam['name']}: no session build metered"
-    assert m["counters"]["chase.rule_applications"] >= 0
+    assert m["gauges"]["guard.lookups"] >= 0, f"{fam['name']}: no guard.lookups gauge"
 print("OK: every family carries a metrics snapshot")
 
 oh = doc["trace_overhead"]

@@ -585,26 +585,24 @@ fn chase_cmd(engine: &Engine, state_path: &str, budget: Budget) -> ExitCode {
         Err(e) => return fail(EXIT_PARSE, &e),
     };
     let guard = Guard::new(budget);
-    match engine.hub(&state, &guard) {
-        Ok(hub) => {
-            let stats = hub.chase_stats();
-            if hub.is_consistent() {
-                println!(
-                    "consistent ({} tuples, {} chase passes, {} rule applications)",
-                    state.total_tuples(),
-                    stats.passes,
-                    stats.rule_applications
-                );
-                ExitCode::SUCCESS
-            } else {
-                let blocks: Vec<String> = hub
-                    .inconsistent_blocks()
-                    .iter()
-                    .map(|b| format!("T{}", b + 1))
-                    .collect();
-                println!("inconsistent (blocks: {})", blocks.join(", "));
-                ExitCode::from(EXIT_INCONSISTENT)
-            }
+    match engine.chase(&state, &guard) {
+        Ok(report) if report.inconsistent_blocks.is_empty() => {
+            println!(
+                "consistent ({} tuples, {} chase passes, {} rule applications)",
+                state.total_tuples(),
+                report.stats.passes,
+                report.stats.rule_applications
+            );
+            ExitCode::SUCCESS
+        }
+        Ok(report) => {
+            let blocks: Vec<String> = report
+                .inconsistent_blocks
+                .iter()
+                .map(|b| format!("T{}", b + 1))
+                .collect();
+            println!("inconsistent (blocks: {})", blocks.join(", "));
+            ExitCode::from(EXIT_INCONSISTENT)
         }
         Err(e) => fail(exec_exit(&e), &format!("{e}")),
     }

@@ -190,11 +190,12 @@ fn parallel_and_serial_agree_under_injected_faults() {
             "seed {seed}"
         );
 
-        // Injected faults: progressively tighter chase budgets. Both modes
-        // must classify each budget identically — either both finish (and
+        // Injected faults: progressively tighter lookup budgets (the hub
+        // build charges Algorithm 1's key-index probes). Both modes must
+        // classify each budget identically — either both finish (and
         // agree) or both trip with the same error variant.
         for steps in [0u64, 1, 2, 4, 64, 4096] {
-            let budget = Budget::unlimited().with_max_chase_steps(steps);
+            let budget = Budget::unlimited().with_max_lookups(steps);
             let rp = parallel.hub(&w.state, &Guard::new(budget));
             let rs = serial.hub(&w.state, &Guard::new(budget));
             match (rp, rs) {

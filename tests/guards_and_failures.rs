@@ -112,9 +112,7 @@ fn subsets_guard_returns_typed_error() {
     let small = AttrSet::from_iter(u.all().iter().take(4));
     let guard = Guard::new(Budget::unlimited().with_max_enumeration(16));
     assert_eq!(small.try_subsets(&guard).unwrap().count(), 16);
-    let snap = guard.snapshot();
-    assert_eq!(snap.enumeration, 16);
-    assert_eq!(snap.enumeration, guard.enumeration_spent());
+    assert_eq!(guard.snapshot().enumeration, 16);
 }
 
 #[test]
@@ -393,7 +391,7 @@ fn algorithm5_fault_matrix() {
 
 #[test]
 fn failed_insert_leaves_maintainer_unchanged() {
-    let (db, kd, ir, state, mut sym) = triangle();
+    let (db, _, ir, state, mut sym) = triangle();
     let g = Guard::unlimited();
     let rp = RetryPolicy::none();
     let mut m = IrMaintainer::new(&db, &ir, &state, &g).unwrap();
@@ -415,8 +413,8 @@ fn failed_insert_leaves_maintainer_unchanged() {
     let (o2, _) = m2.insert(2, t, &g, &rp).unwrap();
     assert_eq!(o1, o2);
     assert_eq!(
-        m.total_projection(&kd, db.universe().set_of("AC"), &g).unwrap(),
-        m2.total_projection(&kd, db.universe().set_of("AC"), &g).unwrap()
+        m.total_projection(db.universe().set_of("AC"), &g).unwrap(),
+        m2.total_projection(db.universe().set_of("AC"), &g).unwrap()
     );
 }
 
@@ -497,7 +495,7 @@ fn empty_state_everything_degrades_gracefully() {
     let mut m = IrMaintainer::new(&db, &ir, &empty, &g).unwrap();
     // Queries on the empty state are empty.
     assert!(m
-        .total_projection(&kd, db.universe().set_of("AC"), &g)
+        .total_projection(db.universe().set_of("AC"), &g)
         .unwrap()
         .is_empty());
     // So is the engine's answer.

@@ -354,7 +354,14 @@ fn metrics_registry_counts_session_operations() {
     assert_eq!(counter("session.inserts_accepted"), 1);
     assert_eq!(counter("session.inserts_rejected"), 1);
     assert_eq!(counter("session.queries"), 1);
-    assert!(counter("chase.rule_applications") >= 1);
+    // Hub writes are Algorithm 2 key lookups, charged to the guard.
+    let lookups = snap
+        .gauges
+        .iter()
+        .find(|(n, _)| n == "guard.lookups")
+        .map(|&(_, v)| v)
+        .expect("guard.lookups gauge");
+    assert!(lookups >= 2, "both inserts charge lookups: {lookups}");
     let hist = snap
         .histograms
         .iter()
