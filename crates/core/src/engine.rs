@@ -25,8 +25,8 @@
 //! schemes fall back to a single whole-state chase.
 //!
 //! Mutations can be made durable by handing the hub a write-ahead sink
-//! ([`Engine::hub_with`]): every op then commits to the log before
-//! touching memory. The serving surface itself — [`Hub`] with its split
+//! ([`Engine::hub_with`]): every write is then decided, committed to
+//! the log, and only then made visible. The serving surface itself — [`Hub`] with its split
 //! [`ReadView`](crate::ReadView) / [`WriteHandle`](crate::WriteHandle)
 //! API — lives in `crate::serving`.
 //!
@@ -320,9 +320,9 @@ impl Engine {
 
     /// Like [`hub`](Engine::hub), with an owned write-ahead durability
     /// sink (e.g. `idr_store::SharedStore`) shared by every
-    /// [`WriteHandle`](crate::WriteHandle): mutations commit to the log
-    /// before memory, concurrent writers' appends may group-commit into
-    /// one fsync.
+    /// [`WriteHandle`](crate::WriteHandle): each write commits to the log
+    /// after its verdicts and before it becomes visible; concurrent
+    /// writers' appends may group-commit into one fsync.
     pub fn hub_with(
         &self,
         state: &DatabaseState,

@@ -64,7 +64,7 @@ pub mod serving;
 pub mod split;
 
 pub use classify::{classify, Classification};
-pub use durability::{DurabilitySink, DurableOp};
+pub use durability::DurabilitySink;
 pub use engine::{ChaseReport, Engine, Observability};
 pub use replay::{ReplayError, ReplayOutcome};
 pub use serving::{BatchOp, Hub, ReadView, Snapshot, WriteHandle};

@@ -14,9 +14,12 @@
 //!   block's rep from its substate. A non-IR scheme gets one whole-state
 //!   slot holding an [`IncrementalChase`] tableau instead;
 //! * **writes** go through [`WriteHandle`]: each block has its own write
-//!   lock, a writer holds it across *log → maintain → apply*, so the WAL
+//!   lock, a writer holds it across *maintain → log → apply*, so the WAL
 //!   order of any one block equals its apply order while writers on
-//!   different blocks proceed in parallel;
+//!   different blocks proceed in parallel. A single insert or delete is
+//!   a one-op batch: every write runs the one pipeline of
+//!   [`WriteHandle::apply_batch`], decided before it is logged and
+//!   rolled back through one undo list;
 //! * **reads** go through [`ReadView`]: an epoch-stamped immutable
 //!   snapshot, published lazily from a consistent cut of every block.
 //!   Readers never block writers and never see a half-applied op;
@@ -88,7 +91,7 @@ use idr_obs::{Counter, Gauge, Histogram, MetricsRegistry, TraceEvent, TraceHandl
 use idr_relation::exec::{ExecError, Guard, RetryPolicy};
 use idr_relation::{AttrSet, DatabaseState, Tuple};
 
-use crate::durability::{DurabilitySink, DurableOp};
+use crate::durability::DurabilitySink;
 use crate::engine::{evaluate_blocks, Engine};
 use crate::maintain::{block_rep, rep_insert};
 use crate::rep::KeRep;
@@ -334,13 +337,6 @@ impl BatchOp {
             BatchOp::Insert { rel, .. } | BatchOp::Delete { rel, .. } => *rel,
         }
     }
-
-    fn as_durable(&self) -> DurableOp<'_> {
-        match self {
-            BatchOp::Insert { rel, t } => DurableOp::Insert { rel: *rel, t },
-            BatchOp::Delete { rel, t } => DurableOp::Delete { rel: *rel, t },
-        }
-    }
 }
 
 impl<'e> Hub<'e> {
@@ -538,7 +534,8 @@ impl<'e> Hub<'e> {
     /// whole-state tableau. `Ok(true)`: accepted, rep and substate
     /// updated. `Ok(false)`: rejected, the slot is unchanged (a tracer,
     /// when on, receives the rejection's chase). `Err`: a poisoned slot
-    /// or a guard trip; the slot is unchanged.
+    /// (or a failed whole-state chase) or a guard trip; the slot is
+    /// unchanged.
     fn slot_insert(
         &self,
         si: usize,
@@ -547,6 +544,11 @@ impl<'e> Hub<'e> {
         t: &Tuple,
         guard: &Guard,
     ) -> Result<bool, ExecError> {
+        // Maintenance needs a consistent base: an inconsistent slot
+        // refuses inserts until a delete restores consistency.
+        if let Some(e) = slot.maint.failure() {
+            return Err(e);
+        }
         let accepted = match &mut slot.maint {
             Maint::Rep(rep) => {
                 let scheme = self.engine.scheme();
@@ -557,11 +559,7 @@ impl<'e> Hub<'e> {
                 }
                 outcome.is_consistent()
             }
-            Maint::Poisoned(detail) => {
-                return Err(ExecError::Inconsistent {
-                    detail: detail.clone(),
-                })
-            }
+            Maint::Poisoned(_) => unreachable!("failure() refused the poisoned slot"),
             Maint::Chase(chase) => {
                 let pushed = chase.push_tuple(t, Some(rel)).map(|_| ());
                 match pushed.and_then(|()| chase.run(guard).map(|_| ())) {
@@ -651,22 +649,22 @@ impl<'e> Hub<'e> {
         chase.explain_rejection()
     }
 
-    /// The slot half of the batch pipeline: applies a framed op group as
-    /// one unit across every block it touches. See
-    /// [`WriteHandle::apply_batch`] for the contract; returns the per-op
+    /// The slot half of the write pipeline — every insert, delete and
+    /// batch runs through here (a single op is a one-op batch). Applies
+    /// the op group as one unit across every block it touches; see
+    /// [`WriteHandle::apply_batch`] for the contract. Returns the per-op
     /// verdicts (in op order) and the number of blocks touched.
     ///
-    /// Unlike the single-op paths, the batch logs **after** verdicts are
-    /// known. Each slot runs its share of the ops serially through the
-    /// same [`slot_insert`](Hub::slot_insert) / [`slot_delete`](Hub::slot_delete)
-    /// the per-op path uses — Algorithm 2 decides each insert exactly, so
-    /// serial application *is* the batch semantics — and records every
-    /// substate change in an undo list. A typed error at or before the
-    /// log call is the batch's **single rollback point**: the undo list
-    /// is replayed in reverse and the touched slots are rebuilt from
-    /// their restored substates, so nothing is logged and nothing is
-    /// applied and log == memory holds without abort markers
-    /// (DESIGN.md §16).
+    /// Ops are logged **after** their verdicts are known. Each slot runs
+    /// its share of the ops serially through
+    /// [`slot_insert`](Hub::slot_insert) / [`slot_delete`](Hub::slot_delete)
+    /// — Algorithm 2 decides each insert exactly, so serial application
+    /// *is* the batch semantics — and records every substate change in
+    /// an undo list. A typed error at or before the log call is the
+    /// **single rollback point**: the undo list is replayed in reverse
+    /// and the touched slots are rebuilt from their restored substates,
+    /// so nothing is logged, nothing is applied, and log == memory holds
+    /// without abort markers (DESIGN.md §12).
     pub(crate) fn batch_op(
         &self,
         ops: &[BatchOp],
@@ -679,22 +677,16 @@ impl<'e> Hub<'e> {
         for (k, op) in ops.iter().enumerate() {
             by_slot.entry(self.slot_of(op.rel())).or_default().push(k);
         }
-        // Every involved block lock, acquired in index order — per-op
-        // writers hold at most one slot at a time, so ordered
-        // acquisition cannot deadlock against them, and holding all of
-        // them across maintain → log → unlock keeps per-block WAL order
-        // equal to apply order exactly as in the single-op paths.
+        // Every involved block lock, acquired in index order, so
+        // concurrent writers cannot deadlock; holding all of them across
+        // maintain → log → unlock keeps per-block WAL order equal to
+        // apply order.
         let mut guards: Vec<MutexGuard<'_, Slot>> = by_slot
             .keys()
             .map(|&si| lock_slot(&self.shared.slots[si]))
             .collect();
         timeline::stamp_current(Phase::LaneAcquire);
         let lane_t0 = Instant::now();
-        for slot in &guards {
-            if let Some(e) = slot.maint.failure() {
-                return Err(e);
-            }
-        }
         // Phase 1 — serial per-slot maintenance, recording every applied
         // op as (slot position, op index) for the rollback.
         let mut verdicts = vec![false; ops.len()];
@@ -723,15 +715,18 @@ impl<'e> Hub<'e> {
                 }
             }
         }
-        // Phase 2 — write-ahead for the whole group: one sink batch, one
+        // Phase 2 — log the whole group: one sink batch, one
         // group-commit barrier, one fsync.
         if failure.is_none() {
             if let Some(d) = &self.shared.sink {
-                let records: Vec<DurableOp<'_>> = ops.iter().map(BatchOp::as_durable).collect();
-                if let Err(e) = d.log_ops(&records) {
+                if let Err(e) = d.log_ops(ops) {
                     failure = Some(e);
                 }
             }
+            // Durable sinks stamp wal-append where the records are
+            // queued; this fallback covers in-memory sinks (first write
+            // wins).
+            timeline::stamp_current(Phase::WalAppend);
         }
         if let Some(e) = failure {
             // Single rollback point: undo the substate changes newest
@@ -756,7 +751,7 @@ impl<'e> Hub<'e> {
                 if touched[g] {
                     guards[g].maint = self
                         .rebuilt(si, &guards[g].state, &Guard::unlimited())
-                        .expect("rebuilding the consistent pre-batch substate cannot fail");
+                        .expect("an unlimited rebuild of the pre-batch substate cannot trip");
                 }
             }
             return Err(e);
@@ -775,18 +770,14 @@ impl<'e> Hub<'e> {
             hm.epoch_lag.add(applied);
         }
         drop(guards);
-        if let Some(r) = rejected {
-            self.record_rejection(r);
+        if rejected.is_some() {
+            *self
+                .shared
+                .last_rejection
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner) = rejected;
         }
         Ok((verdicts, by_slot.len()))
-    }
-
-    fn record_rejection(&self, rejected: Rejected) {
-        *self
-            .shared
-            .last_rejection
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(rejected);
     }
 
     /// After a completed op: asks the sink whether a snapshot is due and,
@@ -801,7 +792,7 @@ impl<'e> Hub<'e> {
         }
         // Quiesce: publish-lock first (lock order), then every block in
         // index order. Holding all block locks means no writer is inside
-        // log_op, so the assembled state covers exactly the logged
+        // log_ops, so the assembled state covers exactly the logged
         // prefix — the rotation the sink performs is safe.
         let _publish = self
             .shared
@@ -837,7 +828,8 @@ impl<'e> WriteHandle<'e> {
     }
 
     /// Inserts `t` into relation `i` through the block's serialized
-    /// write lane.
+    /// write lane — a one-op [`apply_batch`](WriteHandle::apply_batch)
+    /// that reports as a single insert.
     ///
     /// `Ok(true)`: accepted and applied — on an IR block Algorithm 2
     /// decided it with a few key lookups into the block's representative
@@ -845,9 +837,9 @@ impl<'e> WriteHandle<'e> {
     /// state is unchanged and the insert is kept for
     /// [`explain_rejection`](WriteHandle::explain_rejection).
     /// `Err(Inconsistent)`: the block was already poisoned — maintenance
-    /// needs a consistent base. Other `Err`s are guard trips; the insert
-    /// then did *not* happen (the rep is untouched and a durable sink
-    /// gets an abort marker), so the caller may retry with a fresh guard.
+    /// needs a consistent base. Other `Err`s are guard trips or storage
+    /// failures; the insert then did *not* happen and nothing was
+    /// logged, so the caller may retry with a fresh guard.
     pub fn insert(&self, i: usize, t: Tuple, guard: &Guard) -> Result<bool, ExecError> {
         self.insert_timed(i, t, guard, &Arc::new(OpTimeline::new()))
     }
@@ -859,7 +851,7 @@ impl<'e> WriteHandle<'e> {
     /// commit) stamps its phase, then folds the completed timeline into
     /// the per-phase histograms.
     ///
-    /// The target block's lock is held across *log → maintain → apply*,
+    /// The target block's lock is held across *maintain → log → apply*,
     /// so per-block WAL order equals apply order.
     pub fn insert_timed(
         &self,
@@ -868,82 +860,28 @@ impl<'e> WriteHandle<'e> {
         guard: &Guard,
         tl: &Arc<OpTimeline>,
     ) -> Result<bool, ExecError> {
-        let _cur = timeline::set_current(tl);
         let t0 = Instant::now();
-        let hub = self.hub();
-        let si = hub.slot_of(i);
-        let mut slot = lock_slot(&self.shared.slots[si]);
-        timeline::stamp_current(Phase::LaneAcquire);
-        let lane_t0 = Instant::now();
-        if let Some(e) = slot.maint.failure() {
-            return Err(e);
-        }
-        // Write-ahead: commit the intent record before memory changes,
-        // still under the block lock.
-        if let Some(d) = &self.shared.sink {
-            d.log_op(DurableOp::Insert { rel: i, t: &t })?;
-        }
-        // Durable sinks stamp wal-append where the record is queued;
-        // this fallback covers in-memory sinks (first write wins).
-        timeline::stamp_current(Phase::WalAppend);
-        let outcome = hub.slot_insert(si, &mut slot, i, &t, guard);
-        match &outcome {
-            Ok(accepted) => {
-                // A rejection still did its apply work: Algorithm 2 ran.
-                timeline::stamp_current(Phase::Apply);
-                if *accepted {
-                    self.shared.stale.store(true, Ordering::Release);
-                }
-            }
-            // Memory is unchanged; mark the logged record aborted so the
-            // log agrees with memory again.
-            Err(_) => {
-                if let Some(d) = &self.shared.sink {
-                    d.log_abort()?;
-                }
-            }
-        }
-        if let Some(hm) = &self.shared.metrics {
-            hm.lane_ops[si].inc();
-            hm.lane_busy_us[si].add(lane_t0.elapsed().as_micros() as u64);
-            if matches!(outcome, Ok(true)) {
-                hm.epoch_lag.add(1);
-            }
-        }
-        drop(slot);
-        let accepted = outcome?;
-        if !accepted {
-            hub.record_rejection((si, i, t));
-        }
-        hub.sink_op_finished()?;
-        // Publish = the visibility handoff: the op's effect is marked
-        // for the next epoch cut and any due snapshot has been taken.
-        tl.stamp(Phase::Publish);
+        let accepted = self.write(&[BatchOp::Insert { rel: i, t }], guard, tl)?.0[0];
         let obs = self.engine.observability();
         obs.tracer.emit_with(|| TraceEvent::InsertApplied {
             relation: Arc::from(self.engine.scheme().scheme(i).name()),
             accepted,
         });
         if let Some(hm) = &self.shared.metrics {
-            if accepted {
-                hm.inserts_accepted.inc();
-            } else {
-                hm.inserts_rejected.inc();
-            }
             hm.insert_us.observe_duration(t0.elapsed());
-            hm.record_guard(guard);
-            hm.record_timeline(tl);
         }
         Ok(accepted)
     }
 
-    /// Removes `t` from relation `i`. Deletion never breaks consistency
-    /// but can *restore* it, and it can unmerge representative-instance
-    /// tuples, so the block's rep is rebuilt from its substate by
-    /// Algorithm 1 (charged against `guard`). `Ok(false)` when the tuple
-    /// was not present. On `Err` (a guard trip mid-rebuild) the delete
-    /// did *not* happen: the tuple is restored, a durable sink gets an
-    /// abort marker, and the caller may retry with a fresh guard.
+    /// Removes `t` from relation `i` — a one-op
+    /// [`apply_batch`](WriteHandle::apply_batch) that reports as a single
+    /// delete. Deletion never breaks consistency but can *restore* it,
+    /// and it can unmerge representative-instance tuples, so the block's
+    /// rep is rebuilt from its substate by Algorithm 1 (charged against
+    /// `guard`). `Ok(false)` when the tuple was not present. On `Err` (a
+    /// guard trip mid-rebuild, a storage failure) the delete did *not*
+    /// happen: the tuple is restored, nothing was logged, and the caller
+    /// may retry with a fresh guard.
     pub fn delete(&self, i: usize, t: &Tuple, guard: &Guard) -> Result<bool, ExecError> {
         self.delete_timed(i, t, guard, &Arc::new(OpTimeline::new()))
     }
@@ -957,50 +895,13 @@ impl<'e> WriteHandle<'e> {
         guard: &Guard,
         tl: &Arc<OpTimeline>,
     ) -> Result<bool, ExecError> {
-        let _cur = timeline::set_current(tl);
-        let hub = self.hub();
-        let si = hub.slot_of(i);
-        let mut slot = lock_slot(&self.shared.slots[si]);
-        timeline::stamp_current(Phase::LaneAcquire);
-        let lane_t0 = Instant::now();
-        // Write-ahead: commit the intent record before memory changes.
-        if let Some(d) = &self.shared.sink {
-            d.log_op(DurableOp::Delete { rel: i, t })?;
-        }
-        timeline::stamp_current(Phase::WalAppend);
-        let removed = match hub.slot_delete(si, &mut slot, i, t, guard) {
-            Ok(removed) => removed,
-            Err(e) => {
-                if let Some(d) = &self.shared.sink {
-                    d.log_abort()?;
-                }
-                return Err(e);
-            }
-        };
-        if removed {
-            self.shared.stale.store(true, Ordering::Release);
-        }
-        timeline::stamp_current(Phase::Apply);
-        if let Some(hm) = &self.shared.metrics {
-            hm.lane_ops[si].inc();
-            hm.lane_busy_us[si].add(lane_t0.elapsed().as_micros() as u64);
-            if removed {
-                hm.epoch_lag.add(1);
-            }
-        }
-        drop(slot);
-        hub.sink_op_finished()?;
-        tl.stamp(Phase::Publish);
+        let op = BatchOp::Delete { rel: i, t: t.clone() };
+        let removed = self.write(&[op], guard, tl)?.0[0];
         let obs = self.engine.observability();
         obs.tracer.emit_with(|| TraceEvent::DeleteApplied {
             relation: Arc::from(self.engine.scheme().scheme(i).name()),
             removed,
         });
-        if let Some(hm) = &self.shared.metrics {
-            hm.deletes.inc();
-            hm.record_guard(guard);
-            hm.record_timeline(tl);
-        }
         Ok(removed)
     }
 
@@ -1012,12 +913,12 @@ impl<'e> WriteHandle<'e> {
     /// [`delete`](WriteHandle::delete) (the `idr fuzz --batch` oracle arm
     /// pins this).
     ///
-    /// On a typed error (a block already poisoned, a guard trip or a
-    /// capacity trip mid-batch, a storage failure) the **whole group** is
-    /// rolled back through its undo list: no op of the batch is applied
-    /// and nothing is logged — the batch's single rollback point sits at
-    /// its WAL append, so log == memory holds without abort markers
-    /// (DESIGN.md §16).
+    /// On a typed error (an insert into a block that is still poisoned,
+    /// a guard trip or a capacity trip mid-batch, a storage failure) the
+    /// **whole group** is rolled back through its undo list: no op of the
+    /// batch is applied and nothing is logged — the single rollback point
+    /// sits at the WAL append, so log == memory holds without abort
+    /// markers (DESIGN.md §12).
     pub fn apply_batch(&self, ops: &[BatchOp], guard: &Guard) -> Result<Vec<bool>, ExecError> {
         self.apply_batch_timed(ops, guard, &Arc::new(OpTimeline::new()))
     }
@@ -1030,11 +931,7 @@ impl<'e> WriteHandle<'e> {
         guard: &Guard,
         tl: &Arc<OpTimeline>,
     ) -> Result<Vec<bool>, ExecError> {
-        let _cur = timeline::set_current(tl);
-        let hub = self.hub();
-        let (verdicts, blocks) = hub.batch_op(ops, guard)?;
-        hub.sink_op_finished()?;
-        tl.stamp(Phase::Publish);
+        let (verdicts, blocks) = self.write(ops, guard, tl)?;
         let applied = verdicts.iter().filter(|&&v| v).count();
         let obs = self.engine.observability();
         obs.tracer.emit_with(|| TraceEvent::BatchApplied {
@@ -1042,22 +939,38 @@ impl<'e> WriteHandle<'e> {
             applied,
             blocks,
         });
+        Ok(verdicts)
+    }
+
+    /// The write pipeline shared by every write: installs `tl` as the
+    /// thread's current op, runs `ops` through [`Hub::batch_op`], hands
+    /// the sink a due snapshot, stamps [`Phase::Publish`] — the
+    /// visibility handoff: the ops' effect is marked for the next epoch
+    /// cut — and counts the verdicts. Returns the per-op verdicts and the
+    /// number of blocks touched.
+    fn write(
+        &self,
+        ops: &[BatchOp],
+        guard: &Guard,
+        tl: &Arc<OpTimeline>,
+    ) -> Result<(Vec<bool>, usize), ExecError> {
+        let _cur = timeline::set_current(tl);
+        let hub = self.hub();
+        let (verdicts, blocks) = hub.batch_op(ops, guard)?;
+        hub.sink_op_finished()?;
+        tl.stamp(Phase::Publish);
         if let Some(hm) = &self.shared.metrics {
-            let (mut accepted, mut rejected, mut deletes) = (0u64, 0u64, 0u64);
             for (op, &v) in ops.iter().zip(&verdicts) {
                 match op {
-                    BatchOp::Insert { .. } if v => accepted += 1,
-                    BatchOp::Insert { .. } => rejected += 1,
-                    BatchOp::Delete { .. } => deletes += 1,
+                    BatchOp::Insert { .. } if v => hm.inserts_accepted.inc(),
+                    BatchOp::Insert { .. } => hm.inserts_rejected.inc(),
+                    BatchOp::Delete { .. } => hm.deletes.inc(),
                 }
             }
-            hm.inserts_accepted.add(accepted);
-            hm.inserts_rejected.add(rejected);
-            hm.deletes.add(deletes);
             hm.record_guard(guard);
             hm.record_timeline(tl);
         }
-        Ok(verdicts)
+        Ok((verdicts, blocks))
     }
 
     /// An epoch-stamped read view (see [`Hub::read_view`]) — gives every
@@ -1231,15 +1144,39 @@ fn publish_snapshot(engine: &Engine, shared: &HubShared) -> Arc<Snapshot> {
 mod tests {
     use super::*;
     use idr_relation::exec::Budget;
-    use idr_relation::{state_of, SchemeBuilder, SymbolTable};
+    use idr_relation::{state_of, DatabaseScheme, SchemeBuilder, SymbolTable};
     use idr_workload::generators::block_chain_scheme;
 
-    fn two_block_scheme() -> idr_relation::DatabaseScheme {
+    fn two_block_scheme() -> DatabaseScheme {
         SchemeBuilder::new("ABCD")
             .scheme("R1", "AB", ["A"])
             .scheme("R2", "CD", ["C"])
             .build()
             .unwrap()
+    }
+
+    /// The tuple `attr=value, …` over `db`'s universe.
+    fn tup(db: &DatabaseScheme, sym: &mut SymbolTable, pairs: &[(&str, &str)]) -> Tuple {
+        let u = db.universe();
+        Tuple::from_pairs(pairs.iter().map(|&(a, v)| (u.attr_of(a), sym.intern(v))))
+    }
+
+    /// Applies `ops` one at a time through `insert` / `delete`.
+    fn per_op(w: &WriteHandle<'_>, ops: &[BatchOp], g: &Guard) -> Vec<bool> {
+        ops.iter()
+            .map(|op| match op {
+                BatchOp::Insert { rel, t } => w.insert(*rel, t.clone(), g).unwrap(),
+                BatchOp::Delete { rel, t } => w.delete(*rel, t, g).unwrap(),
+            })
+            .collect()
+    }
+
+    /// Sorted `(relation, tuple)` lines of a view's state.
+    fn dump(v: &ReadView<'_>) -> Vec<(usize, Tuple)> {
+        let mut all: Vec<(usize, Tuple)> =
+            v.state().iter_all().map(|(i, t)| (i, t.clone())).collect();
+        all.sort();
+        all
     }
 
     #[test]
@@ -1256,11 +1193,7 @@ mod tests {
         assert_eq!(v0.state().total_tuples(), 1);
 
         let w = hub.write_handle();
-        let u = db.universe();
-        let t = Tuple::from_pairs([
-            (u.attr_of("C"), sym.intern("c")),
-            (u.attr_of("D"), sym.intern("d")),
-        ]);
+        let t = tup(&db, &mut sym, &[("C", "c"), ("D", "d")]);
         assert!(w.insert(1, t, &g).unwrap());
 
         // The old view still reads epoch 0; a new view sees the insert.
@@ -1320,11 +1253,7 @@ mod tests {
         let state = state_of(&db, &mut sym, &[("R1", &[("A", "a"), ("B", "b")])]).unwrap();
         let hub = engine.hub(&state, &g).unwrap();
         let w = hub.write_handle();
-        let u = db.universe();
-        let bad = Tuple::from_pairs([
-            (u.attr_of("A"), sym.intern("a")),
-            (u.attr_of("B"), sym.intern("b2")),
-        ]);
+        let bad = tup(&db, &mut sym, &[("A", "a"), ("B", "b2")]);
         let before = hub.read_view().epoch();
         assert!(!w.insert(0, bad, &g).unwrap());
         assert!(w.explain_rejection().is_some());
@@ -1355,10 +1284,7 @@ mod tests {
         let hub = engine.hub(&state, &g).unwrap();
         let w = hub.write_handle();
         let u = db.universe();
-        let t = Tuple::from_pairs([
-            (u.attr_of("K"), sym.intern("k")),
-            (u.attr_of("A2"), sym.intern("x2b")),
-        ]);
+        let t = tup(&db, &mut sym, &[("K", "k"), ("A2", "x2b")]);
         let tight = Guard::new(Budget::unlimited().with_max_lookups(0));
         let err = w.insert(2, t.clone(), &tight).unwrap_err();
         assert!(matches!(err, ExecError::BudgetExceeded { .. }), "{err:?}");
@@ -1380,73 +1306,36 @@ mod tests {
         let g = Guard::unlimited();
         let mut sym = SymbolTable::new();
         let state = state_of(&db, &mut sym, &[("R1", &[("A", "a"), ("B", "b")])]).unwrap();
-        let u = db.universe();
-        let pair = |x: &str, xv: &str, y: &str, yv: &str, sym: &mut SymbolTable| {
-            Tuple::from_pairs([(u.attr_of(x), sym.intern(xv)), (u.attr_of(y), sym.intern(yv))])
-        };
+        let mut t = |x: &str, xv: &str, y: &str, yv: &str| tup(&db, &mut sym, &[(x, xv), (y, yv)]);
         let ops = vec![
-            BatchOp::Insert {
-                rel: 1,
-                t: pair("C", "c", "D", "d", &mut sym),
-            },
-            BatchOp::Insert {
-                rel: 0,
-                t: pair("A", "a2", "B", "b2", &mut sym),
-            },
+            BatchOp::Insert { rel: 1, t: t("C", "c", "D", "d") },
+            BatchOp::Insert { rel: 0, t: t("A", "a2", "B", "b2") },
             // Rejected: clashes with the seeded (a, b) on key A.
-            BatchOp::Insert {
-                rel: 0,
-                t: pair("A", "a", "B", "bX", &mut sym),
-            },
-            BatchOp::Delete {
-                rel: 0,
-                t: pair("A", "a", "B", "b", &mut sym),
-            },
+            BatchOp::Insert { rel: 0, t: t("A", "a", "B", "bX") },
+            BatchOp::Delete { rel: 0, t: t("A", "a", "B", "b") },
             // Absent: was never inserted.
-            BatchOp::Delete {
-                rel: 1,
-                t: pair("C", "cX", "D", "dX", &mut sym),
-            },
+            BatchOp::Delete { rel: 1, t: t("C", "cX", "D", "dX") },
             // Accepted: the clashing (a, b) is gone by now.
-            BatchOp::Insert {
-                rel: 0,
-                t: pair("A", "a", "B", "bX", &mut sym),
-            },
+            BatchOp::Insert { rel: 0, t: t("A", "a", "B", "bX") },
         ];
 
         let hub_a = engine_a.hub(&state, &g).unwrap();
         let batch_verdicts = hub_a.write_handle().apply_batch(&ops, &g).unwrap();
 
         let hub_b = engine_b.hub(&state, &g).unwrap();
-        let wb = hub_b.write_handle();
-        let serial_verdicts: Vec<bool> = ops
-            .iter()
-            .map(|op| match op {
-                BatchOp::Insert { rel, t } => wb.insert(*rel, t.clone(), &g).unwrap(),
-                BatchOp::Delete { rel, t } => wb.delete(*rel, t, &g).unwrap(),
-            })
-            .collect();
+        let serial_verdicts = per_op(&hub_b.write_handle(), &ops, &g);
 
         assert_eq!(batch_verdicts, serial_verdicts);
         assert_eq!(batch_verdicts, vec![true, true, false, true, false, true]);
         let va = hub_a.read_view();
         let vb = hub_b.read_view();
         assert_eq!(va.is_consistent(), vb.is_consistent());
-        let dump = |v: &ReadView<'_>| {
-            let mut all: Vec<(usize, Tuple)> =
-                v.state().iter_all().map(|(i, t)| (i, t.clone())).collect();
-            all.sort();
-            all
-        };
         assert_eq!(dump(&va), dump(&vb));
         // The rejected (a, bX) was applied later in the same batch, so
         // the on-demand explanation finds nothing left to explain...
         assert!(hub_a.explain_rejection().is_none());
         // ...while a rejection that stands is explained.
-        let clash = vec![BatchOp::Insert {
-            rel: 0,
-            t: pair("A", "a", "B", "bY", &mut sym),
-        }];
+        let clash = vec![BatchOp::Insert { rel: 0, t: t("A", "a", "B", "bY") }];
         assert_eq!(hub_a.write_handle().apply_batch(&clash, &g).unwrap(), vec![false]);
         assert!(hub_a.explain_rejection().is_some(), "rejection provenance kept");
     }
@@ -1469,14 +1358,8 @@ mod tests {
         let hub = engine.hub(&state, &g).unwrap();
         let w = hub.write_handle();
         let u = db.universe();
-        let t = Tuple::from_pairs([
-            (u.attr_of("K"), sym.intern("k")),
-            (u.attr_of("A2"), sym.intern("x2")),
-        ]);
-        let gone = Tuple::from_pairs([
-            (u.attr_of("K"), sym.intern("k")),
-            (u.attr_of("A0"), sym.intern("x0")),
-        ]);
+        let t = tup(&db, &mut sym, &[("K", "k"), ("A2", "x2")]);
+        let gone = tup(&db, &mut sym, &[("K", "k"), ("A0", "x0")]);
         // The insert costs one lookup and is applied; the delete's rep
         // rebuild then trips the two-lookup budget, so the undo list has
         // to take the applied insert back out.
@@ -1499,6 +1382,123 @@ mod tests {
         let v = hub.read_view();
         assert!(v.state().relation(2).contains(&t));
         assert!(!v.state().relation(0).contains(&gone));
+    }
+
+    /// A test sink that counts logged records and, while `fail` is set,
+    /// refuses every log call the way a failed fsync would.
+    #[derive(Debug, Default)]
+    struct FaultySink {
+        fail: AtomicBool,
+        records: AtomicU64,
+    }
+
+    impl DurabilitySink for FaultySink {
+        fn log_ops(&self, ops: &[BatchOp]) -> Result<(), ExecError> {
+            if self.fail.load(Ordering::Relaxed) {
+                return Err(ExecError::Faulted {
+                    kind: idr_relation::exec::FaultKind::Permanent,
+                    operation: "wal append".to_string(),
+                    attempts: 1,
+                });
+            }
+            self.records.fetch_add(ops.len() as u64, Ordering::Relaxed);
+            Ok(())
+        }
+
+        fn op_finished(&self) -> Result<bool, ExecError> {
+            Ok(false)
+        }
+
+        fn write_snapshot(&self, _state: &DatabaseState) -> Result<(), ExecError> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn poisoned_block_takes_deletes_in_batches_as_per_op() {
+        // R1's key A is violated by the base state, so block 0 starts
+        // poisoned. A delete restores consistency, batched or not; an
+        // insert into the still-poisoned block is refused, unlogged.
+        let db = two_block_scheme();
+        let engine = Engine::new(db.clone());
+        let g = Guard::unlimited();
+        let mut sym = SymbolTable::new();
+        let state = state_of(
+            &db,
+            &mut sym,
+            &[
+                ("R1", &[("A", "a"), ("B", "b1")]),
+                ("R1", &[("A", "a"), ("B", "b2")]),
+            ],
+        )
+        .unwrap();
+        let bad = BatchOp::Delete { rel: 0, t: tup(&db, &mut sym, &[("A", "a"), ("B", "b2")]) };
+        let fresh = BatchOp::Insert { rel: 0, t: tup(&db, &mut sym, &[("A", "a2"), ("B", "c")]) };
+        for ops in [vec![bad.clone()], vec![bad, fresh.clone()]] {
+            let batched = engine.hub(&state, &g).unwrap();
+            let serial = engine.hub(&state, &g).unwrap();
+            assert!(!batched.is_consistent());
+            let verdicts = batched.write_handle().apply_batch(&ops, &g).unwrap();
+            assert_eq!(verdicts, per_op(&serial.write_handle(), &ops, &g), "{ops:?}");
+            let (vb, vs) = (batched.read_view(), serial.read_view());
+            assert_eq!(dump(&vb), dump(&vs));
+            assert!(vb.is_consistent() && vs.is_consistent());
+        }
+
+        let sink = Arc::new(FaultySink::default());
+        let hub = engine.hub_with(&state, &g, sink.clone()).unwrap();
+        let before = hub.read_view();
+        let err = hub.write_handle().apply_batch(&[fresh], &g).unwrap_err();
+        assert!(matches!(err, ExecError::Inconsistent { .. }), "{err:?}");
+        let after = hub.read_view();
+        assert_eq!(after.epoch(), before.epoch(), "nothing applied");
+        assert_eq!(dump(&after), dump(&before));
+        assert_eq!(sink.records.load(Ordering::Relaxed), 0, "nothing logged");
+        assert_eq!(hub.inconsistent_blocks(), vec![0]);
+    }
+
+    #[test]
+    fn failed_log_rolls_every_write_back() {
+        let db = two_block_scheme();
+        let engine = Engine::new(db.clone());
+        let g = Guard::unlimited();
+        let mut sym = SymbolTable::new();
+        let state = state_of(&db, &mut sym, &[("R1", &[("A", "a"), ("B", "b")])]).unwrap();
+        let mut pair =
+            |x: &str, xv: &str, y: &str, yv: &str| tup(&db, &mut sym, &[(x, xv), (y, yv)]);
+        let seeded = pair("A", "a", "B", "b");
+        let a2b2 = pair("A", "a2", "B", "b2");
+        let a2b3 = pair("A", "a2", "B", "b3");
+        let cd = pair("C", "c", "D", "d");
+        let sink = Arc::new(FaultySink::default());
+        let hub = engine.hub_with(&state, &g, sink.clone()).unwrap();
+        let w = hub.write_handle();
+        let before = hub.read_view();
+        sink.fail.store(true, Ordering::Relaxed);
+        let check = |r: Result<(), ExecError>| {
+            assert!(matches!(r, Err(ExecError::Faulted { .. })), "{r:?}");
+            let v = hub.read_view();
+            assert_eq!(v.epoch(), before.epoch());
+            assert_eq!(dump(&v), dump(&before));
+            assert!(hub.is_consistent());
+        };
+        // An insert Algorithm 2 accepts, a delete of a present tuple, and
+        // a mixed batch across both blocks.
+        check(w.insert(0, a2b2.clone(), &g).map(|_| ()));
+        check(w.delete(0, &seeded, &g).map(|_| ()));
+        let mixed = [
+            BatchOp::Insert { rel: 1, t: cd },
+            BatchOp::Delete { rel: 0, t: seeded.clone() },
+            BatchOp::Insert { rel: 0, t: a2b2 },
+        ];
+        check(w.apply_batch(&mixed, &g).map(|_| ()));
+        assert_eq!(sink.records.load(Ordering::Relaxed), 0);
+        // The rep forgot the rolled-back (a2, b2): a tuple that would
+        // clash with it on key A is accepted, and (a, b) is still there.
+        sink.fail.store(false, Ordering::Relaxed);
+        assert!(w.insert(0, a2b3, &g).unwrap());
+        assert!(!w.insert(0, pair("A", "a", "B", "bX"), &g).unwrap());
+        assert_eq!(sink.records.load(Ordering::Relaxed), 2);
     }
 
     #[test]
@@ -1537,11 +1537,7 @@ mod tests {
         let via_chase =
             idr_chase::total_projection(&db, &state, engine.key_deps().full(), x, &g).unwrap();
         assert_eq!(Some(via_view), via_chase);
-        let u = db.universe();
-        let t = Tuple::from_pairs([
-            (u.attr_of("A"), sym.intern("a2")),
-            (u.attr_of("B"), sym.intern("b2")),
-        ]);
+        let t = tup(&db, &mut sym, &[("A", "a2"), ("B", "b2")]);
         assert!(hub.write_handle().insert(0, t, &g).unwrap());
         assert_eq!(hub.read_view().state().total_tuples(), 3);
     }

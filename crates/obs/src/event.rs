@@ -128,10 +128,10 @@ pub enum TraceEvent {
         /// Whether a matching tuple was found.
         found: bool,
     },
-    /// A record was committed to the write-ahead log (before the
-    /// corresponding in-memory mutation).
+    /// A record was committed to the write-ahead log (after its write
+    /// was decided, before the write becomes visible).
     WalAppended {
-        /// The record's verb (`insert`, `delete` or `abort`).
+        /// The record's verb (`insert` or `delete`).
         verb: Arc<str>,
         /// Framed record size in bytes (header + payload).
         bytes: usize,

@@ -5,8 +5,9 @@
 //! through [`WriteHandle::apply_batch`](idr_core::WriteHandle) must be
 //! indistinguishable from applying its ops one by one — same per-op
 //! verdicts, same final state, same consistency verdict, same query
-//! answers. The batch path runs each slot's ops serially through the
-//! per-op slot steps, so that is true by construction; this arm checks
+//! answers. A single op is a one-op batch, and a framed group runs each
+//! slot's ops serially through the same slot steps, so that is true by
+//! construction; this arm checks
 //! it differentially, and — because both hub sides run Algorithm 2 —
 //! also diffs every verdict against an independent reference chase:
 //!
@@ -24,9 +25,9 @@
 //!   verdict against a chase of the final mirror;
 //! * finally the batch run's data dir is recovered and its replayed
 //!   state is diffed again — a logged batch must replay to exactly the
-//!   state it applied (the batch WAL protocol logs *after* verdicts and
-//!   *before* memory mutation, so log == memory is the invariant under
-//!   test).
+//!   state it applied (the write pipeline logs *after* verdicts, under
+//!   the block locks, and rolls a failed group back before anything is
+//!   logged, so log == memory is the invariant under test).
 //!
 //! Ops run under unlimited guards: a typed error from either side is
 //! itself a failure, not a skip.

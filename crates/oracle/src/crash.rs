@@ -19,14 +19,18 @@
 //!
 //! Ops run under unlimited guards, so every op is exactly one WAL
 //! record and `k` surviving records ⇔ the first `k` ops — the mapping
-//! the differential check relies on. (Abort markers from guard-tripped
-//! ops are covered by targeted tests in `tests/durability.rs`.)
+//! the differential check relies on. About one op in twenty is preceded
+//! by a *tripped* write: an insert of the same tuple under an
+//! already-expired deadline. It must fail and log nothing (a write is
+//! decided before it is logged and rolled back on a trip), so it stays
+//! out of the mirror's op list and the mapping holds.
 
 use std::path::Path;
 use std::sync::Arc;
+use std::time::Duration;
 
 use idr_core::Engine;
-use idr_relation::exec::Guard;
+use idr_relation::exec::{Budget, Guard};
 use idr_relation::parse::render_tuple_line;
 use idr_relation::rng::SplitMix64;
 use idr_relation::{AttrSet, DatabaseScheme, DatabaseState, SymbolTable, Tuple};
@@ -44,7 +48,8 @@ pub struct CrashFailure {
     pub seed: u64,
     /// The WAL byte length the crash truncated to.
     pub crash_point: u64,
-    /// What disagreed (`state`, `verdict`, `answer`, `recovery_error`).
+    /// What disagreed (`state`, `verdict`, `answer`, `recovery_error`,
+    /// `tripped`).
     pub kind: String,
     /// Human-readable detail.
     pub detail: String,
@@ -69,6 +74,9 @@ pub struct CrashFuzzSummary {
     pub crash_points: usize,
     /// Total ops executed across the live (never-crashed) runs.
     pub ops_run: usize,
+    /// Guard-tripped writes interleaved into the live runs; each failed
+    /// and logged nothing.
+    pub tripped: usize,
     /// Disagreements, in discovery order.
     pub failures: Vec<CrashFailure>,
 }
@@ -206,48 +214,6 @@ pub(crate) fn answer_lines(
     lines
 }
 
-/// Replays `ops` prefixes through a purely in-memory hub, recording
-/// the expected state/verdict/answer after every prefix length.
-fn build_mirror(
-    db: &DatabaseScheme,
-    ops: &[CrashOp],
-    probe: AttrSet,
-    symbols: &SymbolTable,
-) -> Result<Vec<MirrorPoint>, String> {
-    let engine = Engine::new(db.clone());
-    let guard = Guard::unlimited();
-    let hub = engine
-        .hub(&DatabaseState::empty(db), &guard)
-        .map_err(|e| format!("mirror hub: {e}"))?;
-    let writer = hub.write_handle();
-    let point = |h: &idr_core::serving::Hub<'_>| -> Result<MirrorPoint, String> {
-        let view = h.read_view();
-        let answer = view
-            .total_projection(probe, &guard)
-            .map_err(|e| format!("mirror query: {e}"))?
-            .map(|ts| answer_lines(db, &ts, symbols));
-        Ok(MirrorPoint {
-            state_lines: state_lines(db, view.state(), symbols),
-            consistent: view.is_consistent(),
-            answer,
-        })
-    };
-    let mut mirror = vec![point(&hub)?];
-    for (is_insert, rel, t) in ops {
-        if *is_insert {
-            writer
-                .insert(*rel, t.clone(), &guard)
-                .map_err(|e| format!("mirror insert: {e}"))?;
-        } else {
-            writer
-                .delete(*rel, t, &guard)
-                .map_err(|e| format!("mirror delete: {e}"))?;
-        }
-        mirror.push(point(&hub)?);
-    }
-    Ok(mirror)
-}
-
 /// Copies the live data dir's immutable files into the crash-scratch
 /// dir once per case (the per-cut loop rewrites only the WAL).
 fn stage_scratch(live: &Path, scratch: &Path, epoch: u64) -> std::io::Result<()> {
@@ -310,6 +276,19 @@ fn run_case(seed: u64, summary: &mut CrashFuzzSummary) {
         };
         let writer = hub.write_handle();
         for (k, (is_insert, rel, t)) in ops.iter().enumerate() {
+            if rng.gen_pct(5) {
+                // Algorithm 2's first lookup (or the whole-state chase's
+                // first pass) checks the deadline, so this insert trips.
+                let expired = Guard::new(Budget::unlimited().with_timeout(Duration::ZERO));
+                let records = store.lock().wal_records();
+                if writer.insert(*rel, t.clone(), &expired).is_ok() {
+                    return fail(0, "tripped", format!("op {k}: expired guard did not trip"));
+                }
+                if store.lock().wal_records() != records {
+                    return fail(0, "tripped", format!("op {k}: a tripped write was logged"));
+                }
+                summary.tripped += 1;
+            }
             let r = if *is_insert {
                 writer.insert(*rel, t.clone(), &guard).map(|_| ())
             } else {
@@ -330,7 +309,14 @@ fn run_case(seed: u64, summary: &mut CrashFuzzSummary) {
     drop(store); // "kill -9": nothing flushed beyond what each op wrote
 
     // --- The in-memory oracle --------------------------------------------
-    let mirror = match build_mirror(&db, &ops, probe, &case_symbols) {
+    let lines: Vec<String> = ops
+        .iter()
+        .map(|(is_insert, rel, t)| {
+            let verb = if *is_insert { "insert" } else { "delete" };
+            format!("{verb} {}", render_tuple_line(&db, &case_symbols, *rel, t))
+        })
+        .collect();
+    let mirror = match build_mirror(&db, &lines, probe) {
         Ok(m) => m,
         Err(e) => return fail(0, "setup", e),
     };
@@ -474,11 +460,11 @@ pub fn crash_fuzz(
     summary
 }
 
-/// Replays already-rendered op lines (the committed WAL order of a
-/// concurrent run) through a purely in-memory hub, recording the
+/// Replays op lines through a purely in-memory hub, recording the
 /// expected state/verdict/answer after every prefix length — the mirror
-/// the concurrent crash arm cuts against.
-fn build_mirror_from_lines(
+/// both crash arms cut against (the sequential arm's rendered op stream,
+/// or the committed WAL order of a concurrent run).
+fn build_mirror(
     db: &DatabaseScheme,
     lines: &[String],
     probe: AttrSet,
@@ -609,10 +595,10 @@ fn run_concurrent_case(seed: u64, summary: &mut CrashFuzzSummary) {
         Err(e) => return fail(0, "setup", format!("scan live wal: {e}")),
     };
     if committed.iter().any(|r| r == idr_store::store::ABORT_PAYLOAD) {
-        // Unlimited guards never trip, so no op should have aborted.
+        // No write path writes an abort marker.
         return fail(0, "setup", "unexpected abort marker in live wal".to_string());
     }
-    let mirror = match build_mirror_from_lines(&db, &committed, probe) {
+    let mirror = match build_mirror(&db, &committed, probe) {
         Ok(m) => m,
         Err(e) => return fail(0, "setup", e),
     };
@@ -680,6 +666,7 @@ mod tests {
         let summary = crash_fuzz(42, 12, None);
         assert_eq!(summary.cases, 12);
         assert!(summary.crash_points > 100, "{}", summary.crash_points);
+        assert!(summary.tripped > 0, "no tripped write was interleaved");
         assert!(
             summary.is_clean(),
             "failures: {}",
@@ -718,6 +705,7 @@ mod tests {
         let b = crash_fuzz(7, 4, None);
         assert_eq!(a.crash_points, b.crash_points);
         assert_eq!(a.ops_run, b.ops_run);
+        assert_eq!(a.tripped, b.tripped);
         assert_eq!(a.failures.len(), b.failures.len());
     }
 }

@@ -2,10 +2,11 @@
 //! framed batch and one fsync.
 //!
 //! [`GroupWal`] wraps the open [`WalWriter`] behind a leader/follower
-//! protocol. Every append enqueues its payload and then either
+//! protocol. Every append enqueues its run of payloads (one write's
+//! records — a single insert or delete is a run of one) and then either
 //!
-//! * finds its record already durable (a concurrent leader's batch
-//!   carried it) and returns, or
+//! * finds its records already durable (a concurrent leader's batch
+//!   carried them) and returns, or
 //! * becomes the **leader**: it optionally sleeps for the commit window,
 //!   drains the whole pending queue, writes the batch and pays **one**
 //!   fsync for all of it — while followers whose records ride in the
@@ -18,8 +19,8 @@
 //! the concurrent execution (Theorem 4.2).
 //!
 //! With a zero window and a single caller, every append is its own
-//! leader and its own batch: byte-for-byte the classic one-fsync-per-op
-//! WAL. Under concurrency batching emerges naturally even at window
+//! leader and its own batch: for one-op writes, byte-for-byte the
+//! classic one-fsync-per-op WAL. Under concurrency batching emerges naturally even at window
 //! zero, because appends arriving while the leader is inside `fsync`
 //! pile up for the next batch.
 //!
@@ -38,14 +39,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use idr_core::durability::{DurabilitySink, DurableOp};
+use idr_core::durability::DurabilitySink;
+use idr_core::serving::BatchOp;
 use idr_obs::timeline::{self, Phase};
 use idr_obs::{Counter, Histogram, MetricsRegistry, TraceEvent, TraceHandle};
 use idr_relation::exec::ExecError;
 use idr_relation::DatabaseState;
 
 use crate::error::StoreError;
-use crate::store::{Store, ABORT_PAYLOAD};
+use crate::store::Store;
 use crate::wal::WalWriter;
 
 /// The append queue the leader drains. Sequence numbers are assigned at
@@ -190,34 +192,17 @@ impl GroupWal {
         self.fsyncs.load(Ordering::Relaxed)
     }
 
-    /// Appends one payload through the group-commit protocol and returns
-    /// once it is durable (or the sync policy is off and it is written).
-    /// Returns the framed record's size in bytes.
-    ///
-    /// Record order on disk equals the arrival order of `append` calls,
-    /// so callers that serialize their own ops (the per-block write
-    /// lanes) keep their WAL order.
-    pub fn append(&self, payload: &str) -> Result<usize, StoreError> {
-        let framed = crate::wal::RECORD_HEADER_LEN + payload.len();
-        let mut q = relock(&self.queue);
-        if let Some(e) = &q.failed {
-            return Err(e.clone());
-        }
-        q.next_seq += 1;
-        let my_seq = q.next_seq;
-        q.pending.push_back(payload.to_string());
-        // The op's record is queued for the commit writer: wal-append
-        // is done from the op's point of view; what follows is waiting.
-        timeline::stamp_current(Phase::WalAppend);
-        self.commit_from(q, my_seq, framed)
-    }
-
     /// Appends `payloads` as one contiguous run through the group-commit
-    /// protocol and returns once the *last* of them is durable. All
-    /// records are enqueued under a single queue lock, so no concurrent
-    /// writer's record can interleave between them and the whole run
-    /// rides one commit barrier — one write pass, one fsync — no matter
-    /// how large the batch is. Returns the total framed size in bytes.
+    /// protocol and returns once the *last* of them is durable (or the
+    /// sync policy is off and it is written). All records are enqueued
+    /// under a single queue lock, so no concurrent writer's record can
+    /// interleave between them and the whole run rides one commit
+    /// barrier — one write pass, one fsync — no matter how large the
+    /// batch is. Returns the total framed size in bytes.
+    ///
+    /// Record order on disk equals the arrival order of `append_batch`
+    /// calls, so callers that serialize their own writes (the per-block
+    /// write lanes) keep their WAL order.
     pub fn append_batch(&self, payloads: &[String]) -> Result<usize, StoreError> {
         if payloads.is_empty() {
             return Ok(0);
@@ -235,6 +220,9 @@ impl GroupWal {
             q.pending.push_back(p.clone());
         }
         let my_seq = q.next_seq;
+        // The write's records are queued for the commit writer:
+        // wal-append is done from the op's point of view; what follows
+        // is waiting.
         timeline::stamp_current(Phase::WalAppend);
         // Waiting on the last record's seq covers the whole run: the
         // queue is drained in seq order, so a batch that carries the
@@ -242,10 +230,9 @@ impl GroupWal {
         self.commit_from(q, my_seq, framed)
     }
 
-    /// The shared tail of [`append`](GroupWal::append) and
-    /// [`append_batch`](GroupWal::append_batch): wait until `my_seq` is
-    /// durable (a concurrent leader's batch carried it) or become the
-    /// leader and commit everything pending.
+    /// The tail of [`append_batch`](GroupWal::append_batch): wait until
+    /// `my_seq` is durable (a concurrent leader's batch carried it) or
+    /// become the leader and commit everything pending.
     fn commit_from<'a>(
         &'a self,
         mut q: MutexGuard<'a, Queue>,
@@ -430,21 +417,7 @@ impl SharedStore {
 }
 
 impl DurabilitySink for SharedStore {
-    fn log_op(&self, op: DurableOp<'_>) -> Result<(), ExecError> {
-        let t0 = Instant::now();
-        let (verb, payload) = self.lock().render_op(op)?;
-        // The slow part — batched write + fsync — runs with the store
-        // lock *released*, so concurrent renders/bookkeeping proceed.
-        let bytes = self.wal.append(&payload)?;
-        let mut store = self.lock();
-        store.note_append(verb, bytes);
-        if let Some(h) = &self.commit_us {
-            h.observe_duration(t0.elapsed());
-        }
-        Ok(())
-    }
-
-    fn log_ops(&self, ops: &[DurableOp<'_>]) -> Result<(), ExecError> {
+    fn log_ops(&self, ops: &[BatchOp]) -> Result<(), ExecError> {
         if ops.is_empty() {
             return Ok(());
         }
@@ -455,7 +428,7 @@ impl DurabilitySink for SharedStore {
             // One store lock for all the renders, released before the
             // slow batched write + fsync.
             let store = self.lock();
-            for &op in ops {
+            for op in ops {
                 let (verb, payload) = store.render_op(op)?;
                 verbs.push(verb);
                 payloads.push(payload);
@@ -469,14 +442,6 @@ impl DurabilitySink for SharedStore {
         if let Some(h) = &self.commit_us {
             h.observe_duration(t0.elapsed());
         }
-        Ok(())
-    }
-
-    fn log_abort(&self) -> Result<(), ExecError> {
-        let bytes = self.wal.append(ABORT_PAYLOAD)?;
-        let mut store = self.lock();
-        store.note_append("abort", bytes);
-        store.note_abort();
         Ok(())
     }
 
@@ -505,7 +470,7 @@ mod tests {
         let dir = TempDir::new("group-serial");
         let g = GroupWal::new(writer(&dir, false));
         for i in 0..5 {
-            g.append(&format!("insert R1: A=a{i} B=b")).unwrap();
+            g.append_batch(&[format!("insert R1: A=a{i} B=b")]).unwrap();
         }
         assert_eq!(g.batches(), 5, "no concurrency, no batching");
         let scan = wal::scan_file(&dir.path().join("wal-0.log")).unwrap();
@@ -525,7 +490,8 @@ mod tests {
                 let g = Arc::clone(&g);
                 s.spawn(move || {
                     for i in 0..EACH {
-                        g.append(&format!("insert R{w}: A=w{w}i{i} B=b")).unwrap();
+                        g.append_batch(&[format!("insert R{w}: A=w{w}i{i} B=b")])
+                            .unwrap();
                     }
                 });
             }
@@ -559,7 +525,7 @@ mod tests {
             .collect();
         g.append_batch(&payloads).unwrap();
         assert_eq!(g.batches(), 1, "a whole batch rides one commit barrier");
-        g.append("insert R1: A=tail B=b").unwrap();
+        g.append_batch(&["insert R1: A=tail B=b".to_string()]).unwrap();
         let scan = wal::scan_file(&dir.path().join("wal-0.log")).unwrap();
         assert_eq!(scan.records.len(), 51);
         for (i, r) in scan.records[..50].iter().enumerate() {
@@ -571,7 +537,7 @@ mod tests {
     #[test]
     fn append_batch_interleaves_whole_against_concurrent_appends() {
         // A batch enqueued under one queue lock is contiguous on disk no
-        // matter how many single appends race with it.
+        // matter how many one-record appends race with it.
         let dir = TempDir::new("group-batch-race");
         let g = Arc::new(GroupWal::new(writer(&dir, false)));
         g.set_window(Duration::from_micros(200));
@@ -587,7 +553,7 @@ mod tests {
             let ga = Arc::clone(&g);
             s.spawn(move || {
                 for i in 0..50 {
-                    ga.append(&format!("insert R2: C=s{i} D=d")).unwrap();
+                    ga.append_batch(&[format!("insert R2: C=s{i} D=d")]).unwrap();
                 }
             });
         });
@@ -613,14 +579,16 @@ mod tests {
     fn batch_failure_is_sticky_and_broadcast() {
         let dir = TempDir::new("group-fail");
         let g = GroupWal::new(writer(&dir, false));
-        g.append("insert R1: A=a B=b").unwrap();
+        g.append_batch(&["insert R1: A=a B=b".to_string()]).unwrap();
         // Poison the queue the way a failed batch would.
         relock(&g.queue).failed = Some(StoreError::Replay {
             detail: "injected batch failure".to_string(),
         });
-        let err = g.append("insert R1: A=a2 B=b").unwrap_err();
+        let err = g
+            .append_batch(&["insert R1: A=a2 B=b".to_string()])
+            .unwrap_err();
         assert!(matches!(err, StoreError::Replay { .. }), "{err:?}");
         // Still failing: no recovery without reopening the store.
-        assert!(g.append("abort").is_err());
+        assert!(g.append_batch(&["insert R1: A=a3 B=b".to_string()]).is_err());
     }
 }

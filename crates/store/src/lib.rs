@@ -7,26 +7,29 @@
 //! * **WAL** ([`wal`]): an append-only log of write ops — one text
 //!   line per record in the CLI's fixture syntax, framed as
 //!   `[len][crc32][payload]` with a vendored [`crc32`](crc32::crc32).
-//!   Appends fsync before the engine mutates memory (write-ahead), so
-//!   the log never lags the state.
+//!   A write's records fsync after its verdicts are decided but before
+//!   its block locks are released, so no reader and no later op of the
+//!   block can see a write the log does not hold.
 //! * **Snapshots** ([`snapshot`]): the full state in the state-file
 //!   format, installed by `write temp + fsync + rename` and paired with
 //!   an epoch-numbered WAL; rotation compacts old logs.
 //! * **Recovery** ([`recover`](mod@recover)): loads the latest snapshot,
 //!   truncates a crash-torn final WAL record (a checksum-mismatched
 //!   *complete* record is instead a typed [`StoreError::Corrupt`]),
-//!   drops aborted ops, and replays the rest through the normal guarded
+//!   drops ops cancelled by an `abort` marker (only earlier builds wrote
+//!   them), and replays the rest through the normal guarded
 //!   [`WriteHandle`](idr_core::WriteHandle) path — the recovered state
 //!   *re-earns* its consistency verdict rather than trusting the log.
 //!
 //! [`SharedStore`] wraps a [`Store`] as the engine's owned
 //! [`DurabilitySink`](idr_core::DurabilitySink): hand one to
-//! [`Engine::hub_with`](idr_core::Engine::hub_with) and every mutation
+//! [`Engine::hub_with`](idr_core::Engine::hub_with) and every write
 //! from every [`WriteHandle`](idr_core::WriteHandle) is committed to
-//! the log before memory changes, with the engine's rollback-on-`Err`
-//! paths mirrored by abort markers. Concurrent writers' appends are
-//! coalesced by [`GroupWal`] into one framed batch and **one fsync**
-//! (group commit).
+//! the log before it becomes visible. A write that fails — a guard
+//! trip, a poisoned block, a failed log — is rolled back before
+//! anything is logged, so the log holds exactly the applied writes.
+//! Concurrent writers' appends are coalesced by [`GroupWal`] into one
+//! framed batch and **one fsync** (group commit).
 //!
 //! # Examples
 //!

@@ -12,7 +12,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use idr_core::durability::DurableOp;
+use idr_core::serving::BatchOp;
 use idr_obs::{MetricsRegistry, TraceEvent, TraceHandle};
 use idr_relation::parse::{render_scheme_file, render_tuple_line};
 use idr_relation::{DatabaseScheme, DatabaseState, SymbolTable, Tuple};
@@ -23,6 +23,9 @@ use crate::snapshot::{self, SCHEME_FILE};
 use crate::wal::{self, SegmentDigest, WalWriter};
 
 /// The WAL payload marking the immediately preceding op as rolled back.
+/// No write path writes one any more (a write that fails is rolled back
+/// before it is logged), but data dirs written by earlier builds may
+/// hold them, so recovery still drops the op an abort marker follows.
 pub const ABORT_PAYLOAD: &str = "abort";
 
 /// An initialised data directory with an open write-ahead log.
@@ -155,7 +158,7 @@ impl Store {
         self.epoch
     }
 
-    /// Records in the open WAL (ops + abort markers).
+    /// Records in the open WAL.
     pub fn wal_records(&self) -> u64 {
         self.wal_records
     }
@@ -252,10 +255,10 @@ impl Store {
 
     /// Renders `op` as a WAL payload (`insert R1: A=a B=b`). Fails if a
     /// tuple value was not interned through this store's table.
-    pub(crate) fn render_op(&self, op: DurableOp<'_>) -> Result<(&'static str, String), StoreError> {
+    pub(crate) fn render_op(&self, op: &BatchOp) -> Result<(&'static str, String), StoreError> {
         let (verb, rel, t): (&'static str, usize, &Tuple) = match op {
-            DurableOp::Insert { rel, t } => ("insert", rel, t),
-            DurableOp::Delete { rel, t } => ("delete", rel, t),
+            BatchOp::Insert { rel, t } => ("insert", *rel, t),
+            BatchOp::Delete { rel, t } => ("delete", *rel, t),
         };
         let symbols = self.lock_symbols();
         for (_, v) in t.iter() {
@@ -285,13 +288,6 @@ impl Store {
         if let Some(m) = &self.metrics {
             m.counter("store.wal_appends").inc();
             m.counter("store.wal_bytes").add(bytes as u64);
-        }
-    }
-
-    /// Counts one abort marker.
-    pub(crate) fn note_abort(&mut self) {
-        if let Some(m) = &self.metrics {
-            m.counter("store.aborts").inc();
         }
     }
 

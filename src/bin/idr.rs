@@ -154,6 +154,11 @@
 //! * `--retries N` / `--backoff-ms M` — retry policy for transient
 //!   faults in the maintenance path (see `idr maintain` above).
 //!
+//! `idr serve` applies the budget per unit of work: the startup hub
+//! build and each insert, delete, committed batch, query and
+//! replication exchange get a fresh guard, so a long session never
+//! runs the budget down.
+//!
 //! Observability flags (also accepted anywhere):
 //!
 //! * `--trace[=text|json]` — emit the structured event stream to stderr
@@ -1046,8 +1051,14 @@ fn fuzz_cmd(rest: &[String], obs: &Observability) -> ExitCode {
         } else {
             oracle::crash_fuzz(opts.seed, opts.cases, Some(&mut progress))
         };
+        // Only the sequential arm interleaves guard-tripped writes.
+        let tripped = if opts.concurrent {
+            String::new()
+        } else {
+            format!(", {} tripped write(s) refused unlogged", summary.tripped)
+        };
         println!(
-            "{label}: {} case(s) from seed {}, {} crash point(s) recovered, {} op(s) replayed, {} failure(s)",
+            "{label}: {} case(s) from seed {}, {} crash point(s) recovered, {} op(s) replayed{tripped}, {} failure(s)",
             summary.cases,
             opts.seed,
             summary.crash_points,
@@ -1758,9 +1769,12 @@ fn peer_serve_cmd(
         Ok(db) => db,
         Err(e) => return fail(EXIT_PARSE, &format!("{}: {e}", scheme_path.display())),
     };
-    let guard = Guard::new(budget);
+    // Each unit of work — opening the replica, each exchange, each
+    // client op and query — gets its own guard, so the budget flags
+    // bound one op, not the session.
     let sync_dir = Path::new(&opts.dir).join("sync");
-    let replica = match Replica::open_durable(origin, origins, &db, &sync_dir, true, &guard) {
+    let opened = Replica::open_durable(origin, origins, &db, &sync_dir, true, &Guard::new(budget));
+    let replica = match opened {
         Ok(r) => r,
         Err(e) => return fail(exec_exit(&e), &format!("{e}")),
     };
@@ -1815,7 +1829,7 @@ fn peer_serve_cmd(
                     &replica,
                     &ExchangeFaults::none(),
                     timeout,
-                    &guard,
+                    &Guard::new(budget),
                     &obs.tracer,
                 )
             });
@@ -1847,7 +1861,6 @@ fn peer_serve_cmd(
     std::thread::scope(|s| {
         if let Some(l) = &listener {
             let replica = &replica;
-            let guard = &guard;
             let shutdown = &shutdown;
             let hello = &hello;
             let tracer = &obs.tracer;
@@ -1864,7 +1877,7 @@ fn peer_serve_cmd(
                                 replica,
                                 &ExchangeFaults::none(),
                                 timeout,
-                                guard,
+                                &Guard::new(budget),
                                 tracer,
                             ) {
                                 Ok(_) => {}
@@ -1884,7 +1897,6 @@ fn peer_serve_cmd(
         }
         for addr in &opts.peers {
             let replica = &replica;
-            let guard = &guard;
             let shutdown = &shutdown;
             let fatal = &fatal;
             let hello = &hello;
@@ -1913,7 +1925,7 @@ fn peer_serve_cmd(
                                 replica,
                                 &ExchangeFaults::none(),
                                 timeout,
-                                guard,
+                                &Guard::new(budget),
                                 tracer,
                             )
                         });
@@ -1989,7 +2001,7 @@ fn peer_serve_cmd(
                         Err(e) => println!("error: {e}"),
                         Ok(()) => {
                             let mut r = replica.lock().unwrap_or_else(|p| p.into_inner());
-                            match r.client_op(line, &guard) {
+                            match r.client_op(line, &Guard::new(budget)) {
                                 Ok(()) => println!(
                                     "journalled at origin {origin}: {} op(s) held, digest {}",
                                     r.ops_held(),
@@ -2007,7 +2019,7 @@ fn peer_serve_cmd(
                         Err(e) => println!("error: {e}"),
                         Ok(x) => {
                             let r = replica.lock().unwrap_or_else(|p| p.into_inner());
-                            match r.answer(x, &guard) {
+                            match r.answer(x, &Guard::new(budget)) {
                                 Ok(Some(lines)) => {
                                     println!(
                                         "[{}]: {} tuple(s)",
@@ -2146,8 +2158,10 @@ fn serve_cmd(
     let engine = Engine::new(db.clone())
         .with_parallel(parallel)
         .with_observability(obs.clone());
-    let guard = Guard::new(budget);
-    let hub = match engine.hub_with(&rec.state, &guard, shared.clone()) {
+    // Every guard in serve mode covers one unit of work — the hub
+    // build here, then each lane op, batch and query — so the budget
+    // flags bound each op, not the session.
+    let hub = match engine.hub_with(&rec.state, &Guard::new(budget), shared.clone()) {
         Ok(h) => h,
         Err(e) => return fail(exec_exit(&e), &format!("{e}")),
     };
@@ -2186,11 +2200,11 @@ fn serve_cmd(
                 let (tx, rx) = mpsc::channel::<ServeJob>();
                 let writer = hub.write_handle();
                 let res = res_tx.clone();
-                let guard = &guard;
                 let stats = stats.clone();
                 let tracer = obs.tracer.clone();
                 s.spawn(move || {
                     for job in rx {
+                        let guard = &Guard::new(budget);
                         let (op, verb, tl, body, code) = match job {
                             ServeJob::One { op, insert, rel, t, tl } => {
                                 let verb = if insert { "insert" } else { "delete" };
@@ -2354,6 +2368,7 @@ fn serve_cmd(
                 "query" => {
                     let attrs: Vec<String> =
                         tail.split_whitespace().map(str::to_string).collect();
+                    let guard = Guard::new(budget);
                     let body = serve_query(&hub, &engine, &attrs, &symbols, &guard);
                     let _ = res_tx.send((op, body.0, body.1));
                 }

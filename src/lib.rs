@@ -101,7 +101,7 @@ pub mod exec {
 pub mod prelude {
     pub use idr_chase::{chase, is_consistent, representative_instance, total_projection};
     pub use idr_core::classify::{classify, Classification};
-    pub use idr_core::durability::{DurabilitySink, DurableOp};
+    pub use idr_core::durability::DurabilitySink;
     pub use idr_core::engine::{Engine, Observability};
     pub use idr_core::serving::{BatchOp, Hub, ReadView, Snapshot, WriteHandle};
     pub use idr_core::exec::{Budget, ExecError, Guard, GuardSnapshot, RetryPolicy};

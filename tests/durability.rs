@@ -10,10 +10,11 @@
 //!   recovery truncates it, and a second recovery sees a clean log.
 //! * Corruption: a *complete* record with a bad checksum is a typed
 //!   [`StoreError::Corrupt`], never silently repaired.
-//! * Abort markers: guard-tripped inserts and deletes roll memory back
-//!   and append an `abort` marker; recovery drops the cancelled op
-//!   (these are the targeted tests the crash fuzzer's docs defer to —
-//!   the fuzzer itself never trips guards mid-op).
+//! * Tripped writes: guard-tripped inserts and deletes roll memory back
+//!   before anything is logged, so the log holds only applied writes.
+//!   Recovery still drops an op followed by an `abort` marker, so data
+//!   dirs written by earlier builds (which logged first and marked
+//!   tripped ops aborted) recover unchanged.
 //! * Re-earned verdicts: a logged-but-rejected insert re-rejects on
 //!   replay; the verdict comes from re-execution, not from the log.
 //! * A bounded run of the crash-point fuzzer (`idr-oracle`), which cuts
@@ -32,7 +33,9 @@ use independence_reducible::prelude::*;
 use independence_reducible::relation::parse::{
     parse_scheme, parse_tuple_line, render_tuple_line,
 };
-use independence_reducible::store::{recover, SharedStore, Store, StoreError, TempDir};
+use independence_reducible::store::{
+    recover, SharedStore, Store, StoreError, TempDir, WalWriter,
+};
 
 /// The doc-example scheme: two independent single-key relations, enough
 /// to exercise accepts, rejects and deletes without chase surprises.
@@ -198,8 +201,8 @@ fn complete_record_with_bad_checksum_is_a_typed_corruption_error() {
 }
 
 #[test]
-fn guard_tripped_insert_logs_an_abort_marker_that_recovery_skips() {
-    let dir = TempDir::new("abort-insert");
+fn guard_tripped_insert_logs_nothing() {
+    let dir = TempDir::new("tripped-insert");
     let db = scheme();
     let store = shared(Store::init(dir.path(), &db).unwrap());
     {
@@ -211,9 +214,8 @@ fn guard_tripped_insert_logs_an_abort_marker_that_recovery_skips() {
         let writer = hub.write_handle();
         let (rel, t) = tuple(&store, "R1: A=a1 B=b1");
         assert!(writer.insert(rel, t, &guard).unwrap());
-        // An already-expired deadline trips the chase after the WAL
-        // record is committed; the writer rolls memory back and appends
-        // the abort marker.
+        // An already-expired deadline trips Algorithm 2's first lookup,
+        // before the insert is decided — so before anything is logged.
         let tripped = Guard::new(Budget::unlimited().with_timeout(Duration::ZERO));
         let (rel, t) = tuple(&store, "R1: A=a2 B=b2");
         assert!(writer.insert(rel, t, &tripped).is_err());
@@ -221,13 +223,13 @@ fn guard_tripped_insert_logs_an_abort_marker_that_recovery_skips() {
         assert!(hub.is_consistent());
         assert_eq!(hub.read_view().state().total_tuples(), 1);
     }
-    // Log: insert, insert, abort.
-    assert_eq!(store.lock().wal_records(), 3);
+    // Log: the accepted insert only.
+    assert_eq!(store.lock().wal_records(), 1);
     drop(store);
 
     let rec = recover(dir.path()).unwrap();
-    assert_eq!(rec.stats.wal_records, 3);
-    assert_eq!(rec.stats.aborted, 1);
+    assert_eq!(rec.stats.wal_records, 1);
+    assert_eq!(rec.stats.aborted, 0);
     assert_eq!(rec.stats.replayed, 1);
     assert!(rec.consistent);
     let symbols = rec.store.symbols();
@@ -236,8 +238,8 @@ fn guard_tripped_insert_logs_an_abort_marker_that_recovery_skips() {
 }
 
 #[test]
-fn guard_tripped_delete_logs_an_abort_marker_that_recovery_skips() {
-    let dir = TempDir::new("abort-delete");
+fn guard_tripped_delete_logs_nothing() {
+    let dir = TempDir::new("tripped-delete");
     let db = scheme();
     let store = shared(Store::init(dir.path(), &db).unwrap());
     {
@@ -252,23 +254,48 @@ fn guard_tripped_delete_logs_an_abort_marker_that_recovery_skips() {
         let (rel2, t2) = tuple(&store, "R1: A=a2 B=b2");
         assert!(writer.insert(rel2, t2, &guard).unwrap());
         // Delete rebuilds the touched block under the caller's guard; an
-        // expired deadline aborts the rebuild (the surviving tuple keeps
-        // it non-trivial) after the record is logged, and the deleted
+        // expired deadline trips the rebuild (the surviving tuple keeps
+        // it non-trivial) before anything is logged, and the deleted
         // tuple is restored — delete is all-or-nothing.
         let tripped = Guard::new(Budget::unlimited().with_timeout(Duration::ZERO));
         assert!(writer.delete(rel, &t, &tripped).is_err());
         assert!(hub.is_consistent());
         assert!(hub.read_view().state().relation(rel).contains(&t));
     }
-    // Log: insert, insert, delete, abort.
-    assert_eq!(store.lock().wal_records(), 4);
+    // Log: the two accepted inserts only.
+    assert_eq!(store.lock().wal_records(), 2);
     drop(store);
 
     let rec = recover(dir.path()).unwrap();
-    assert_eq!(rec.stats.aborted, 1);
+    assert_eq!(rec.stats.wal_records, 2);
+    assert_eq!(rec.stats.aborted, 0);
     assert_eq!(rec.stats.replayed, 2);
     assert!(rec.consistent);
     assert_eq!(rec.state.total_tuples(), 2);
+}
+
+#[test]
+fn legacy_abort_marker_still_cancels_its_op_on_recovery() {
+    // Earlier builds logged an op before deciding it and appended an
+    // `abort` marker when it tripped. Such a WAL must still recover to
+    // the state the old process held.
+    let dir = TempDir::new("legacy-abort");
+    let db = scheme();
+    drop(Store::init(dir.path(), &db).unwrap());
+    let mut w = WalWriter::create(&dir.path().join("wal-0.log"), false).unwrap();
+    for payload in ["insert R1: A=a1 B=b1", "insert R1: A=a2 B=b2", "abort"] {
+        w.append(payload).unwrap();
+    }
+    drop(w);
+
+    let rec = recover(dir.path()).unwrap();
+    assert_eq!(rec.stats.wal_records, 3);
+    assert_eq!(rec.stats.aborted, 1);
+    assert_eq!(rec.stats.replayed, 1);
+    assert!(rec.consistent);
+    let symbols = rec.store.symbols();
+    let lines = state_lines(rec.store.scheme(), &rec.state, &symbols.lock().unwrap());
+    assert_eq!(lines, vec!["R1: A=a1 B=b1"]);
 }
 
 #[test]
@@ -285,8 +312,7 @@ fn rejected_insert_is_replayed_and_rejected_again() {
         ],
     );
     assert_eq!(outcomes, vec![true, false, true]);
-    // Rejected ops stay in the log (no abort marker — the engine state
-    // was never speculatively changed); replay re-derives the verdict.
+    // Rejected ops stay in the log; replay re-derives the verdict.
     assert_eq!(store.lock().wal_records(), 3);
     drop(store);
 

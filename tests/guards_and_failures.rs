@@ -163,6 +163,45 @@ fn chase_honours_deadline_and_budget() {
     assert!(matches!(err, ExecError::Cancelled), "{err}");
 }
 
+#[test]
+fn serve_budget_flags_bound_each_op_not_the_session() {
+    use std::io::Write;
+    use std::process::{Command, Stdio};
+    // One university insert costs a lookup or two, so `--max-steps 3`
+    // is enough for any single op; twenty of them must all be accepted.
+    let idr = env!("CARGO_BIN_EXE_idr");
+    let dir = independence_reducible::store::TempDir::new("serve-per-op-guard");
+    let data = dir.path().join("d");
+    let init = Command::new(idr)
+        .arg("init")
+        .arg(&data)
+        .arg(concat!(env!("CARGO_MANIFEST_DIR"), "/examples/schemes/university.scm"))
+        .output()
+        .expect("run idr init");
+    assert!(init.status.success(), "{init:?}");
+    let mut child = Command::new(idr)
+        .args(["serve", "--max-steps", "3", "--data-dir"])
+        .arg(&data)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn idr serve");
+    {
+        let mut stdin = child.stdin.take().expect("piped stdin");
+        for i in 0..20 {
+            writeln!(stdin, "insert R1: H=h{i} R=r{i} C=c{i}").unwrap();
+        }
+        writeln!(stdin, "quit").unwrap();
+    }
+    let out = child.wait_with_output().expect("serve exits");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let accepted = stdout.lines().filter(|l| l.ends_with("] accepted")).count();
+    assert_eq!(accepted, 20, "{stdout}");
+    assert!(out.status.success(), "{stdout}");
+    assert!(stdout.contains(" 20 WAL record(s)"), "{stdout}");
+}
+
 // ---------------------------------------------------------------------------
 // Malformed inputs stay typed.
 // ---------------------------------------------------------------------------
